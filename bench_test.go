@@ -14,6 +14,7 @@ import (
 
 	"endbox/internal/bench"
 	"endbox/internal/packet"
+	"endbox/mbox"
 )
 
 // sharedModel caches the calibration across benchmarks.
@@ -278,14 +279,14 @@ func cellUs(b *testing.B, cell string) float64 {
 // BenchmarkUseCasePipelineLatency measures single-packet latency through
 // each standard middlebox pipeline — a finer-grained companion to Fig. 9.
 func BenchmarkUseCasePipelineLatency(b *testing.B) {
-	for _, uc := range []UseCase{UseCaseNOP, UseCaseLB, UseCaseFW, UseCaseIDPS, UseCaseDDoS} {
+	for _, uc := range []mbox.UseCase{mbox.UseCaseNOP, mbox.UseCaseLB, mbox.UseCaseFW, mbox.UseCaseIDPS, mbox.UseCaseDDoS} {
 		b.Run(fmt.Sprintf("%v", uc), func(b *testing.B) {
 			d, err := New()
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer d.Close()
-			cli, err := d.AddClient(context.Background(), "bench", ClientSpec{Mode: ModeSimulation, UseCase: uc})
+			cli, err := d.AddClient(context.Background(), "bench", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(uc)})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -319,9 +320,9 @@ func BenchmarkBatchSend(b *testing.B) {
 			}
 			defer d.Close()
 			cli, err := d.AddClient(context.Background(), "bench", ClientSpec{
-				Mode:    ModeHardware,
-				BurnCPU: true,
-				UseCase: UseCaseNOP,
+				Mode:     ModeHardware,
+				BurnCPU:  true,
+				Pipeline: mbox.Stock(mbox.UseCaseNOP),
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -312,8 +312,8 @@ func run() error {
 		}
 
 		// Pump inbound frames into the client, then establish the session.
-		link.SetDeliver(func(frame []byte) error {
-			if err := cli.HandleFrame(frame); err != nil {
+		link.SetDeliver(func(frames [][]byte) error {
+			if _, err := cli.HandleFrames(frames); err != nil {
 				log.Printf("inbound frame: %v", err)
 			}
 			return nil

@@ -212,7 +212,7 @@ func run() error {
 					Rollout: endbox.Rollout{
 						Version:      2,
 						GraceSeconds: uint32(*grace),
-						ClickConfig:  endbox.StandardConfig(endbox.UseCaseFW),
+						Pipeline:     mbox.Stock(mbox.UseCaseFW),
 						RuleSets:     endbox.CommunityRuleSets(),
 					},
 					Fraction: *canaryFrac,
@@ -230,10 +230,10 @@ func run() error {
 				return
 			}
 			log.Printf("publishing demo update v2 (use case FW with tightened rules)")
-			err := deployment.Server.PublishUpdate(ctx, &endbox.Update{
+			_, err := deployment.Rollout(ctx, endbox.Rollout{
 				Version:      2,
 				GraceSeconds: uint32(*grace),
-				ClickConfig:  endbox.StandardConfig(endbox.UseCaseFW),
+				Pipeline:     mbox.Stock(mbox.UseCaseFW),
 				RuleSets:     endbox.CommunityRuleSets(),
 			})
 			if err != nil {

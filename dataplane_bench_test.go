@@ -26,7 +26,7 @@ func benchDeployment(b *testing.B, clients int, opts ...Option) (*Deployment, []
 	cls := make([]*Client, clients)
 	for i := range cls {
 		cli, err := d.AddClient(context.Background(), fmt.Sprintf("bench-%d", i),
-			ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+			ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseNOP)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func BenchmarkDataPlanePath(b *testing.B) {
 				defer d.Close()
 				cls := make([]*Client, clients)
 				for i := range cls {
-					spec := ClientSpec{Mode: ModeHardware, BurnCPU: true, UseCase: UseCaseNOP}
+					spec := ClientSpec{Mode: ModeHardware, BurnCPU: true, Pipeline: mbox.Stock(mbox.UseCaseNOP)}
 					if cfg.conntrack {
 						spec.Pipeline = mbox.Chain(mbox.ConnTrack(mbox.ConnTrackOptions{}))
 					}
@@ -160,9 +160,9 @@ func BenchmarkBatchIngress(b *testing.B) {
 			}
 			defer d.Close()
 			cli, err := d.AddClient(context.Background(), "bench", ClientSpec{
-				Mode:    ModeHardware,
-				BurnCPU: true,
-				UseCase: UseCaseNOP,
+				Mode:     ModeHardware,
+				BurnCPU:  true,
+				Pipeline: mbox.Stock(mbox.UseCaseNOP),
 			})
 			if err != nil {
 				b.Fatal(err)

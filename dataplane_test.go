@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"endbox/internal/packet"
+	"endbox/mbox"
 )
 
 // TestSharded64ClientsConcurrent drives 64 clients through one deployment
@@ -38,7 +39,7 @@ func TestSharded64ClientsConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			id := fmt.Sprintf("shard-c%d", i)
-			cli, err := d.AddClient(ctx, id, ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+			cli, err := d.AddClient(ctx, id, ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseNOP)})
 			if err != nil {
 				errs <- fmt.Errorf("AddClient(%s): %w", id, err)
 				return
@@ -87,8 +88,8 @@ func TestClientStatsPublicAPI(t *testing.T) {
 	}
 	defer d.Close()
 	cli, err := d.AddClient(ctx, "stats", ClientSpec{
-		Mode:        ModeSimulation,
-		ClickConfig: "FromDevice -> IPFilter(drop dst host 203.0.113.9, allow all) -> ToDevice;",
+		Mode:     ModeSimulation,
+		Pipeline: mbox.Raw("FromDevice -> IPFilter(drop dst host 203.0.113.9, allow all) -> ToDevice;"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +136,7 @@ func TestMonolithicBaseline(t *testing.T) {
 	if got := d.Server.VPN().ShardCount(); got != 1 {
 		t.Fatalf("ShardCount = %d, want 1", got)
 	}
-	cli, err := d.AddClient(ctx, "mono", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseFW})
+	cli, err := d.AddClient(ctx, "mono", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseFW)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestHandleFramesBatchIngress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	cli, err := d.AddClient(ctx, "batch-in", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+	cli, err := d.AddClient(ctx, "batch-in", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseNOP)})
 	if err != nil {
 		t.Fatal(err)
 	}

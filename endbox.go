@@ -33,8 +33,8 @@
 //	    }),
 //	)
 //	client, err := d.AddClient(ctx, "laptop-1", endbox.ClientSpec{
-//	    Mode:    endbox.ModeSimulation,
-//	    UseCase: endbox.UseCaseFW,
+//	    Mode:     endbox.ModeSimulation,
+//	    Pipeline: mbox.Stock(mbox.UseCaseFW),
 //	})
 //	err = client.SendPacket(ipPacket)
 package endbox
@@ -60,9 +60,8 @@ import (
 // publish updates simultaneously.
 type Deployment = core.Deployment
 
-// DeploymentOptions configures a Deployment. New applications should
-// prefer New with functional options; this struct remains the stable
-// underlying representation (and the migration path for pre-v1 callers).
+// DeploymentOptions is the struct every Option mutates; New builds a
+// Deployment from it.
 type DeploymentOptions = core.DeploymentOptions
 
 // ClientSpec configures one client joining a deployment.
@@ -72,8 +71,8 @@ type ClientSpec = core.ClientSpec
 // crypto and the Click middlebox, plus the untrusted runtime around it.
 type Client = core.Client
 
-// ClientOptions configures a standalone client (NewDeployment/AddClient
-// wires these automatically; construct directly for custom transports).
+// ClientOptions configures a standalone client (AddClient wires these
+// automatically; construct directly for custom transports).
 type ClientOptions = core.ClientOptions
 
 // Server is the managed network's server side: VPN endpoint, configuration
@@ -105,13 +104,10 @@ type ClientLink = core.ClientLink
 // Deployment implements it.
 type ServerEndpoint = core.ServerEndpoint
 
-// Observer receives deployment-wide data-path events: packets accepted
-// into the managed network, packets delivered to client applications, and
-// middlebox alerts.
-type Observer = core.Observer
-
-// ObserverFuncs adapts plain functions to Observer; nil fields ignore the
-// corresponding event.
+// ObserverFuncs receives deployment-wide events — data path, session
+// lifecycle, revocation and element faults — as plain functions; nil
+// fields ignore the corresponding event. Install with WithObserver;
+// repeated calls compose.
 type ObserverFuncs = core.ObserverFuncs
 
 // Alert is a middlebox alert raised inside a client's enclave, carrying
@@ -174,14 +170,8 @@ type FailurePolicy = click.FailurePolicy
 
 // ElementFault is one containment event in a client's pipeline — a
 // recovered element panic, and possibly the trip that quarantined the
-// element. Delivered to FaultObserver implementations.
+// element. Delivered to ObserverFuncs.OnFault.
 type ElementFault = click.ElementFault
-
-// FaultObserver is optionally implemented by Observers that also want
-// robustness events: element faults inside client enclaves and announced
-// configuration versions a client could not apply (ObserverFuncs.OnFault
-// / ObserverFuncs.OnUpdateError adapt plain functions).
-type FaultObserver = core.FaultObserver
 
 // HealthReport is a client's sealed self-assessment of one applied
 // configuration version: hot-swap timing on success, panic/quarantine
@@ -228,9 +218,6 @@ var ErrAdmissionThrottled = lifecycle.ErrAdmissionThrottled
 // evicted or removed.
 var ErrServerFull = lifecycle.ErrServerFull
 
-// MultiObserver fans events out to several observers in order.
-func MultiObserver(obs ...Observer) Observer { return core.MultiObserver(obs...) }
-
 // Update is one middlebox configuration update: version, grace period,
 // Click configuration and rule sets.
 type Update = config.Update
@@ -238,30 +225,6 @@ type Update = config.Update
 // SwapTiming is the in-enclave phase breakdown of applying an update
 // (decrypt + hot-swap durations).
 type SwapTiming = core.SwapTiming
-
-// UseCase selects one of the five evaluated middlebox functions.
-//
-// Deprecated: UseCase is a shim over the stock pipelines; new code should
-// set ClientSpec.Pipeline (mbox.Stock(u) reproduces each use case, and
-// mbox.Chain composes arbitrary ones).
-type UseCase = click.UseCase
-
-// The five middlebox functions of the paper's evaluation (§V-B).
-const (
-	UseCaseNOP  = click.UseCaseNOP
-	UseCaseLB   = click.UseCaseLB
-	UseCaseFW   = click.UseCaseFW
-	UseCaseIDPS = click.UseCaseIDPS
-	UseCaseDDoS = click.UseCaseDDoS
-)
-
-// StandardConfig returns the Click configuration for a use case as used in
-// the evaluation.
-//
-// Deprecated: StandardConfig is a thin shim compiling mbox.Stock(u); new
-// code should carry typed pipelines (mbox.Compile emits the text when a
-// string is genuinely needed).
-func StandardConfig(u UseCase) string { return click.StandardConfig(u) }
 
 // EnclaveMode selects how client enclaves execute.
 type EnclaveMode = sgx.Mode
@@ -314,11 +277,6 @@ func ParseMeasurement(s string) (Measurement, error) { return sgx.ParseMeasureme
 // NewPolicy creates an empty attested-identity policy registry.
 func NewPolicy() *Policy { return policy.NewRegistry() }
 
-// RevocationObserver is optionally implemented by Observers that also
-// want build-revocation events (ObserverFuncs.OnRevoked adapts a plain
-// function).
-type RevocationObserver = core.RevocationObserver
-
 // ErrBuildRevoked is returned (wrapped) when a handshake or resume is
 // refused because the client's attested enclave build was revoked.
 var ErrBuildRevoked = policy.ErrBuildRevoked
@@ -342,12 +300,6 @@ func New(opts ...Option) (*Deployment, error) {
 		opt(&o)
 	}
 	return core.NewDeployment(o)
-}
-
-// NewDeployment builds a Deployment from an options struct — the pre-v1
-// construction path, kept for callers migrating to New.
-func NewDeployment(opts DeploymentOptions) (*Deployment, error) {
-	return core.NewDeployment(opts)
 }
 
 // NewInProcessTransport returns the default transport: clients linked to

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"endbox/internal/packet"
 	"endbox/internal/vpn"
+	"endbox/mbox"
 )
 
 // TestFacadeRoundTrip drives the whole v1 surface once: functional-option
@@ -37,7 +39,7 @@ func TestFacadeRoundTrip(t *testing.T) {
 	}
 	defer d.Close()
 
-	cli, err := d.AddClient(ctx, "laptop-1", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseFW})
+	cli, err := d.AddClient(ctx, "laptop-1", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseFW)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func TestFacadeRoundTrip(t *testing.T) {
 	if err := d.Server.PublishUpdate(ctx, &Update{
 		Version:      1,
 		GraceSeconds: 60,
-		ClickConfig:  StandardConfig(UseCaseNOP),
+		ClickConfig:  stockConfig(mbox.UseCaseNOP),
 		RuleSets:     CommunityRuleSets(),
 	}); err != nil {
 		t.Fatal(err)
@@ -70,22 +72,79 @@ func TestFacadeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOptionComposition checks that repeated WithObserver composes instead
-// of overwriting, and that struct options and functional options build the
-// same deployment shape.
+// stockConfig is the Click text of a stock pipeline, for the surfaces that
+// carry configuration text (Update.ClickConfig).
+func stockConfig(u mbox.UseCase) string {
+	cfg, err := mbox.Stock(u).Config()
+	if err != nil {
+		panic(err)
+	}
+	return cfg
+}
+
+// TestOptionComposition checks that repeated WithObserver composes
+// instead of overwriting: for each of the nine ObserverFuncs events, two
+// WithObserver calls both receive the event, in installation order, and
+// an event only one of them observes still reaches it. A live deployment
+// then confirms the composed observer is the one it fires.
 func TestOptionComposition(t *testing.T) {
-	ctx := context.Background()
-	var first, second int32
+	for _, tc := range []struct {
+		event string
+		set   func(o *ObserverFuncs, hit func())
+		fire  func(o ObserverFuncs)
+	}{
+		{"OnDelivered", func(o *ObserverFuncs, hit func()) { o.OnDelivered = func(string, []byte) { hit() } },
+			func(o ObserverFuncs) { o.OnDelivered("c", nil) }},
+		{"OnReceived", func(o *ObserverFuncs, hit func()) { o.OnReceived = func(string, []byte) { hit() } },
+			func(o ObserverFuncs) { o.OnReceived("c", nil) }},
+		{"OnAlert", func(o *ObserverFuncs, hit func()) { o.OnAlert = func(string, Alert) { hit() } },
+			func(o ObserverFuncs) { o.OnAlert("c", Alert{}) }},
+		{"OnEvicted", func(o *ObserverFuncs, hit func()) { o.OnEvicted = func(string) { hit() } },
+			func(o ObserverFuncs) { o.OnEvicted("c") }},
+		{"OnResumed", func(o *ObserverFuncs, hit func()) { o.OnResumed = func(string) { hit() } },
+			func(o ObserverFuncs) { o.OnResumed("c") }},
+		{"OnRefused", func(o *ObserverFuncs, hit func()) { o.OnRefused = func(string, error) { hit() } },
+			func(o ObserverFuncs) { o.OnRefused("c", ErrServerFull) }},
+		{"OnRevoked", func(o *ObserverFuncs, hit func()) { o.OnRevoked = func(string, string) { hit() } },
+			func(o ObserverFuncs) { o.OnRevoked("c", "build") }},
+		{"OnFault", func(o *ObserverFuncs, hit func()) { o.OnFault = func(string, ElementFault) { hit() } },
+			func(o ObserverFuncs) { o.OnFault("c", ElementFault{}) }},
+		{"OnUpdateError", func(o *ObserverFuncs, hit func()) { o.OnUpdateError = func(string, uint64, error) { hit() } },
+			func(o ObserverFuncs) { o.OnUpdateError("c", 1, nil) }},
+	} {
+		t.Run(tc.event, func(t *testing.T) {
+			for _, installed := range [][]string{{"first", "second"}, {"first"}, {"second"}} {
+				var calls []string
+				var first, second ObserverFuncs
+				for _, name := range installed {
+					target := &first
+					if name == "second" {
+						target = &second
+					}
+					tc.set(target, func() { calls = append(calls, name) })
+				}
+				var o DeploymentOptions
+				WithObserver(first)(&o)
+				WithObserver(second)(&o)
+				tc.fire(o.Observer)
+				if !slices.Equal(calls, installed) {
+					t.Errorf("installed %v, fired to %v", installed, calls)
+				}
+			}
+		})
+	}
+
+	var first, second atomic.Int32
 	d, err := New(
 		WithWireMode(WireIntegrityOnly),
-		WithObserver(ObserverFuncs{OnDelivered: func(string, []byte) { atomic.AddInt32(&first, 1) }}),
-		WithObserver(ObserverFuncs{OnDelivered: func(string, []byte) { atomic.AddInt32(&second, 1) }}),
+		WithObserver(ObserverFuncs{OnDelivered: func(string, []byte) { first.Add(1) }}),
+		WithObserver(ObserverFuncs{OnDelivered: func(string, []byte) { second.Add(1) }}),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	cli, err := d.AddClient(ctx, "c", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+	cli, err := d.AddClient(context.Background(), "c", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseNOP)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +152,8 @@ func TestOptionComposition(t *testing.T) {
 	if err := cli.SendPacket(pkt); err != nil {
 		t.Fatal(err)
 	}
-	if first != 1 || second != 1 {
-		t.Errorf("observers saw %d/%d events, want 1/1", first, second)
+	if first.Load() != 1 || second.Load() != 1 {
+		t.Errorf("deployment observers saw %d/%d events, want 1/1", first.Load(), second.Load())
 	}
 }
 
@@ -126,7 +185,7 @@ func TestConcurrentClients(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			id := fmt.Sprintf("c%d", i)
-			cli, err := d.AddClient(ctx, id, ClientSpec{Mode: ModeSimulation, UseCase: UseCaseFW})
+			cli, err := d.AddClient(ctx, id, ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseFW)})
 			if err != nil {
 				errs <- fmt.Errorf("AddClient(%s): %w", id, err)
 				return
@@ -163,7 +222,7 @@ func TestConcurrentClients(t *testing.T) {
 		if err := d.Server.PublishUpdate(ctx, &Update{
 			Version:      1,
 			GraceSeconds: 300,
-			ClickConfig:  StandardConfig(UseCaseFW),
+			ClickConfig:  stockConfig(mbox.UseCaseFW),
 			RuleSets:     CommunityRuleSets(),
 		}); err != nil {
 			errs <- fmt.Errorf("PublishUpdate: %w", err)
@@ -195,7 +254,7 @@ func TestSameClientConcurrentSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	cli, err := d.AddClient(ctx, "shared", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+	cli, err := d.AddClient(ctx, "shared", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseNOP)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +299,8 @@ func TestBatchSendSemantics(t *testing.T) {
 	}
 	defer d.Close()
 	cli, err := d.AddClient(ctx, "c", ClientSpec{
-		Mode:        ModeSimulation,
-		ClickConfig: "FromDevice -> IPFilter(drop dst host 203.0.113.9, allow all) -> ToDevice;",
+		Mode:     ModeSimulation,
+		Pipeline: mbox.Raw("FromDevice -> IPFilter(drop dst host 203.0.113.9, allow all) -> ToDevice;"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -301,8 +360,8 @@ func TestTransportParity(t *testing.T) {
 		defer d.Close()
 
 		cli, err := d.AddClient(ctx, "parity", ClientSpec{
-			Mode:        ModeSimulation,
-			ClickConfig: "FromDevice -> IPFilter(drop dst host 203.0.113.9, allow all) -> ToDevice;",
+			Mode:     ModeSimulation,
+			Pipeline: mbox.Raw("FromDevice -> IPFilter(drop dst host 203.0.113.9, allow all) -> ToDevice;"),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -371,7 +430,7 @@ func TestUDPTransportMultipleClients(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			id := fmt.Sprintf("udp-%d", i)
-			cli, err := d.AddClient(ctx, id, ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+			cli, err := d.AddClient(ctx, id, ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseNOP)})
 			if err != nil {
 				errs <- fmt.Errorf("AddClient(%s): %w", id, err)
 				return
@@ -415,17 +474,17 @@ func TestContextCancellation(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := d.AddClient(cancelled, "c", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP}); !errors.Is(err, context.Canceled) {
+	if _, err := d.AddClient(cancelled, "c", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseNOP)}); !errors.Is(err, context.Canceled) {
 		t.Errorf("AddClient with cancelled ctx: %v", err)
 	}
 	if err := d.Server.PublishUpdate(cancelled, &Update{
-		Version: 1, GraceSeconds: 60, ClickConfig: StandardConfig(UseCaseNOP),
+		Version: 1, GraceSeconds: 60, ClickConfig: stockConfig(mbox.UseCaseNOP),
 	}); !errors.Is(err, context.Canceled) {
 		t.Errorf("PublishUpdate with cancelled ctx: %v", err)
 	}
 
 	// The client slot must be reusable after the failed join.
-	if _, err := d.AddClient(context.Background(), "c", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP}); err != nil {
+	if _, err := d.AddClient(context.Background(), "c", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseNOP)}); err != nil {
 		t.Errorf("AddClient after cancelled attempt: %v", err)
 	}
 }
@@ -454,8 +513,8 @@ func TestObserverReentrancy(t *testing.T) {
 	}
 	defer d.Close()
 	cli, err = d.AddClient(ctx, "c", ClientSpec{
-		Mode:        ModeSimulation,
-		ClickConfig: "FromDevice -> IDSMatcher(RULESET strict, MODE enforce) -> ToDevice;",
+		Mode:     ModeSimulation,
+		Pipeline: mbox.Raw("FromDevice -> IDSMatcher(RULESET strict, MODE enforce) -> ToDevice;"),
 		ExtraRuleSets: map[string]string{
 			"strict": `drop tcp any any -> any any (msg:"worm"; content:"X-Worm"; sid:7;)`,
 		},
@@ -494,11 +553,11 @@ func TestDuplicateAddClient(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer d.Close()
-			first, err := d.AddClient(ctx, "dup", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+			first, err := d.AddClient(ctx, "dup", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseNOP)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := d.AddClient(ctx, "dup", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP}); err == nil {
+			if _, err := d.AddClient(ctx, "dup", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseNOP)}); err == nil {
 				t.Fatal("duplicate AddClient succeeded")
 			}
 			// The original client is unharmed.
@@ -519,7 +578,7 @@ func TestRemoveClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if _, err := d.AddClient(ctx, "c", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP}); err != nil {
+	if _, err := d.AddClient(ctx, "c", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseNOP)}); err != nil {
 		t.Fatal(err)
 	}
 	firstAddr, _ := d.ClientAddr("c")
@@ -530,7 +589,7 @@ func TestRemoveClient(t *testing.T) {
 	if _, ok := d.ClientAddr("c"); ok {
 		t.Error("address still allocated after RemoveClient")
 	}
-	cli, err := d.AddClient(ctx, "c", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+	cli, err := d.AddClient(ctx, "c", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseNOP)})
 	if err != nil {
 		t.Fatalf("rejoin: %v", err)
 	}

@@ -15,6 +15,7 @@ import (
 	"endbox"
 	"endbox/internal/packet"
 	"endbox/internal/vpn"
+	"endbox/mbox"
 )
 
 func main() {
@@ -45,8 +46,8 @@ func run() error {
 	defer deployment.Close()
 
 	employee, err := deployment.AddClient(ctx, "workstation-7", endbox.ClientSpec{
-		Mode:    endbox.ModeSimulation,
-		UseCase: endbox.UseCaseIDPS,
+		Mode:     endbox.ModeSimulation,
+		Pipeline: mbox.Stock(mbox.UseCaseIDPS),
 	})
 	if err != nil {
 		return err

@@ -55,7 +55,7 @@ func run() error {
 	}
 	fmt.Printf("registered builds: v1 (default), v2 = %s...\n", v2meas.String()[:16])
 
-	oldSpec := endbox.ClientSpec{Mode: endbox.ModeSimulation, UseCase: endbox.UseCaseNOP}
+	oldSpec := endbox.ClientSpec{Mode: endbox.ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseNOP)}
 	newSpec := oldSpec
 	newSpec.BuildVersion = "2.0.0"
 	legacy, err := deployment.AddClient(ctx, "laptop-legacy", oldSpec)

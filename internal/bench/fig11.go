@@ -72,14 +72,15 @@ func measureEndBoxSwap() (time.Duration, error) {
 		return 0, err
 	}
 	defer d.Close()
-	cli, err := d.AddClient(context.Background(), "fig11", core.ClientSpec{Mode: sgx.ModeHardware, BurnCPU: true, UseCase: click.UseCaseNOP})
+	cli, err := d.AddClient(context.Background(), "fig11", core.ClientSpec{Mode: sgx.ModeHardware, BurnCPU: true, Pipeline: click.StockPipeline(click.UseCaseNOP)})
 	if err != nil {
 		return 0, err
 	}
-	blob, err := config.Seal(&config.Update{
-		Version: 1, GraceSeconds: 60,
-		ClickConfig: click.StandardConfig(click.UseCaseFW),
-	}, d.CA.SignConfig, nil)
+	fw, err := click.StockPipeline(click.UseCaseFW).Config()
+	if err != nil {
+		return 0, err
+	}
+	blob, err := config.Seal(&config.Update{Version: 1, GraceSeconds: 60, ClickConfig: fw}, d.CA.SignConfig, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -93,10 +94,10 @@ func measureEndBoxSwap() (time.Duration, error) {
 // measureVanillaSwap times a server-side Click hot-swap to the FW config,
 // including its device setup.
 func measureVanillaSwap() (time.Duration, error) {
-	inst, err := click.NewInstance(click.StandardConfig(click.UseCaseNOP), nil,
+	inst, err := click.NewInstance(click.ServerConfig(click.UseCaseNOP), nil,
 		core.ServerClickContext(core.VanillaDeviceSetup))
 	if err != nil {
 		return 0, err
 	}
-	return inst.Swap(click.StandardConfig(click.UseCaseFW))
+	return inst.Swap(click.ServerConfig(click.UseCaseFW))
 }

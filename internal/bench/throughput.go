@@ -49,7 +49,7 @@ func buildPipeline(setup Setup, uc click.UseCase, mode wire.Mode, naiveEcalls bo
 		cli, err := d.AddClient(context.Background(), "bench", core.ClientSpec{
 			Mode:        sgxMode,
 			BurnCPU:     burn,
-			UseCase:     uc,
+			Pipeline:    click.StockPipeline(uc),
 			NaiveEcalls: naiveEcalls,
 		})
 		if err != nil {

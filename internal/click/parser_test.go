@@ -143,9 +143,9 @@ func TestSplitArgs(t *testing.T) {
 
 func TestParseMultilineRealConfig(t *testing.T) {
 	for _, uc := range AllUseCases {
-		cfg := StandardConfig(uc)
+		cfg := stockConfig(uc)
 		if _, err := ParseConfig(cfg); err != nil {
-			t.Errorf("StandardConfig(%v) does not parse: %v", uc, err)
+			t.Errorf("stockConfig(%v) does not parse: %v", uc, err)
 		}
 		if _, err := ParseConfig(ServerConfig(uc)); err != nil {
 			t.Errorf("ServerConfig(%v) does not parse: %v", uc, err)

@@ -203,8 +203,11 @@ func stageText(s *Stage) string {
 }
 
 // StockPipeline returns the typed pipeline reproducing one of the paper's
-// five evaluation middlebox functions (§V-B) — the same graphs
-// StandardConfig compiles to. Unknown use cases return the zero Pipeline.
+// five evaluation middlebox functions (§V-B), matching the paper's setups:
+// the FW rules match no evaluation packet, the IDPS uses the community
+// rule set (resolved via Context.RuleSet), and the DDoS splitter samples
+// trusted time every 500,000 packets. Unknown use cases return the zero
+// Pipeline.
 func StockPipeline(u UseCase) Pipeline {
 	switch u {
 	case UseCaseNOP:

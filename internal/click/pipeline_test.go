@@ -13,9 +13,9 @@ func communityRuleSets() map[string]string {
 	return map[string]string{"community": idps.GenerateRuleSet(idps.CommunityRuleCount, 2018)}
 }
 
-// TestStockPipelineParity pins the shim relationship the API redesign
-// introduced: each stock pipeline compiles to exactly StandardConfig(u),
-// and the emitted text builds a router that accepts clean traffic.
+// TestStockPipelineParity pins the stock pipelines: each validates and
+// compiles to exactly the text it emits (stockConfig(u)), and that text
+// builds a router that accepts clean traffic.
 func TestStockPipelineParity(t *testing.T) {
 	rules := communityRuleSets()
 	for _, uc := range AllUseCases {
@@ -27,8 +27,8 @@ func TestStockPipelineParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("StockPipeline(%v).Compile: %v", uc, err)
 		}
-		if want := StandardConfig(uc); cfg != want {
-			t.Errorf("StockPipeline(%v) compiles to %q, StandardConfig says %q", uc, cfg, want)
+		if want := stockConfig(uc); cfg != want {
+			t.Errorf("StockPipeline(%v) compiles to %q, Config emits %q", uc, cfg, want)
 		}
 		ctx, _ := testContext(t)
 		inst := mustInstance(t, cfg, ctx)

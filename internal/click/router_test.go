@@ -12,6 +12,15 @@ import (
 	"endbox/internal/tlstap"
 )
 
+// stockConfig is the Click text of a stock pipeline.
+func stockConfig(u UseCase) string {
+	cfg, err := StockPipeline(u).Config()
+	if err != nil {
+		panic(err)
+	}
+	return cfg
+}
+
 // testContext provides rule sets and captures alerts.
 func testContext(t *testing.T) (*Context, *[]Alert) {
 	t.Helper()
@@ -65,7 +74,7 @@ func testTCPPort(t *testing.T, dstPort uint16, payload []byte) *packet.IPv4 {
 
 func TestNOPForwards(t *testing.T) {
 	ctx, _ := testContext(t)
-	inst := mustInstance(t, StandardConfig(UseCaseNOP), ctx)
+	inst := mustInstance(t, stockConfig(UseCaseNOP), ctx)
 	res := inst.Process(testUDP(t, "hello"))
 	if !res.Accepted {
 		t.Errorf("NOP rejected packet: dropped by %s", res.DroppedBy)
@@ -107,7 +116,7 @@ func TestCounterCounts(t *testing.T) {
 
 func TestRoundRobinSwitchBalances(t *testing.T) {
 	ctx, _ := testContext(t)
-	inst := mustInstance(t, StandardConfig(UseCaseLB), ctx)
+	inst := mustInstance(t, stockConfig(UseCaseLB), ctx)
 	backends := make(map[int]int)
 	for i := 0; i < 12; i++ {
 		res := inst.Process(testUDP(t, "lb"))
@@ -128,7 +137,7 @@ func TestRoundRobinSwitchBalances(t *testing.T) {
 
 func TestIPFilterUseCasePassesCleanTraffic(t *testing.T) {
 	ctx, _ := testContext(t)
-	inst := mustInstance(t, StandardConfig(UseCaseFW), ctx)
+	inst := mustInstance(t, stockConfig(UseCaseFW), ctx)
 	for i := 0; i < 20; i++ {
 		if res := inst.Process(testUDP(t, "clean")); !res.Accepted {
 			t.Fatalf("FW dropped clean packet: %s", res.DroppedBy)
@@ -232,7 +241,7 @@ func TestIDSMatcherAlertAndEnforce(t *testing.T) {
 
 func TestIDPSUseCaseCleanTraffic(t *testing.T) {
 	ctx, alerts := testContext(t)
-	inst := mustInstance(t, StandardConfig(UseCaseIDPS), ctx)
+	inst := mustInstance(t, stockConfig(UseCaseIDPS), ctx)
 	payload := strings.Repeat("GET /index.html HTTP/1.1\r\n", 50)
 	for i := 0; i < 10; i++ {
 		if res := inst.Process(testTCPPort(t, 80, []byte(payload))); !res.Accepted {
@@ -408,14 +417,14 @@ func TestHotSwapPreservesState(t *testing.T) {
 
 func TestHotSwapBadConfigKeepsOld(t *testing.T) {
 	ctx, _ := testContext(t)
-	inst := mustInstance(t, StandardConfig(UseCaseNOP), ctx)
+	inst := mustInstance(t, stockConfig(UseCaseNOP), ctx)
 	if _, err := inst.Swap("FromDevice -> Nonexistent -> ToDevice;"); err == nil {
 		t.Fatal("bad swap accepted")
 	}
 	if res := inst.Process(testUDP(t, "still works")); !res.Accepted {
 		t.Error("old configuration broken after failed swap")
 	}
-	if inst.Config() != StandardConfig(UseCaseNOP) {
+	if inst.Config() != stockConfig(UseCaseNOP) {
 		t.Error("Config() changed after failed swap")
 	}
 }
@@ -491,7 +500,7 @@ func TestCheckIPHeaderDropsExpiredTTL(t *testing.T) {
 func TestAllStandardConfigsRun(t *testing.T) {
 	ctx, _ := testContext(t)
 	for _, uc := range AllUseCases {
-		inst := mustInstance(t, StandardConfig(uc), ctx)
+		inst := mustInstance(t, stockConfig(uc), ctx)
 		for i := 0; i < 5; i++ {
 			if res := inst.Process(testUDP(t, strings.Repeat("p", 1000))); !res.Accepted {
 				t.Errorf("%v dropped clean packet: %s", uc, res.DroppedBy)
@@ -511,7 +520,7 @@ func BenchmarkUseCasePipelines1500(b *testing.B) {
 		40000, 5201, make([]byte, 1472))
 	for _, uc := range AllUseCases {
 		b.Run(uc.String(), func(b *testing.B) {
-			inst, err := NewInstance(StandardConfig(uc), nil, ctx)
+			inst, err := NewInstance(stockConfig(uc), nil, ctx)
 			if err != nil {
 				b.Fatal(err)
 			}

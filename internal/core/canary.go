@@ -192,12 +192,9 @@ func (d *Deployment) RolloutCanary(ctx context.Context, r CanaryRollout) (Canary
 	if r.Deadline == 0 {
 		r.Deadline = DefaultCanaryDeadline
 	}
-	cfg, err := compileConfig(r.Pipeline, r.ClickConfig, mergedRuleSets(r.RuleSets))
+	cfg, err := r.Pipeline.Compile(nil, mergedRuleSets(r.RuleSets))
 	if err != nil {
 		return CanaryResult{}, err
-	}
-	if cfg == "" {
-		return CanaryResult{}, fmt.Errorf("%w: canary rollout selects no middlebox function (set Pipeline or ClickConfig)", ErrBadPipeline)
 	}
 
 	// The rollback point must exist before anything is staged: a canary

@@ -79,7 +79,7 @@ type ClientOptions struct {
 	// Send transmits frames to the VPN server. Required.
 	Send func(frame []byte) error
 	// SendControl transmits control-class frames (pings, nacks, health
-	// reports). Wire it to ControlLink.SendControlFrame on transports that
+	// reports). Wire it to ClientLink.SendControlFrame on transports that
 	// shed data under overload so control survives a flood. Optional;
 	// defaults to Send.
 	SendControl func(frame []byte) error

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"crypto/ed25519"
 	"fmt"
@@ -34,12 +35,11 @@ type DeploymentOptions struct {
 	ServerUseCase click.UseCase
 	// Clock is the shared time source (default time.Now).
 	Clock func() time.Time
-	// Observer watches the deployment's data path: packets accepted into
-	// the managed network, packets delivered to client applications, and
-	// middlebox alerts. Nil observes nothing. Packet slices handed to the
-	// observer alias pooled buffers and are only valid for the duration of
-	// the callback; observers that keep packets must copy.
-	Observer Observer
+	// Observer watches the deployment: data-path, session lifecycle and
+	// robustness events. The zero value observes nothing. Packet slices
+	// handed to the observer alias pooled buffers and are only valid for
+	// the duration of the callback; observers that keep packets must copy.
+	Observer ObserverFuncs
 	// Transport carries frames and control messages between the server and
 	// its clients. Nil selects the in-process transport (direct calls).
 	Transport Transport
@@ -58,18 +58,18 @@ type DeploymentOptions struct {
 	// baseline).
 	Shards int
 	// UDPWorkers pipelines the UDP server's ingress across a worker pool
-	// of this size when the transport supports it (clients stay pinned to
-	// one worker, preserving per-client frame ordering). 0 keeps the
-	// transport's single serve goroutine.
+	// of this size (clients stay pinned to one worker, preserving
+	// per-client frame ordering). 0 keeps the transport's single serve
+	// goroutine; the in-process transport ignores it.
 	UDPWorkers int
-	// Retransmit tunes the control-path ARQ layer when the transport
-	// supports reliable delivery (the UDP transport does; the in-process
-	// transport cannot lose messages and ignores it). The zero value keeps
-	// the defaults with the ARQ layer on; RetransmitConfig.Disable opts
-	// out. Data frames are never retransmitted.
+	// Retransmit tunes the control-path ARQ layer of the UDP transport
+	// (the in-process transport cannot lose messages and ignores it). The
+	// zero value keeps the defaults with the ARQ layer on;
+	// RetransmitConfig.Disable opts out. Data frames are never
+	// retransmitted.
 	Retransmit RetransmitConfig
 	// LossProfile injects deterministic, seeded control-path impairment
-	// (drop/duplicate/reorder) when the transport supports it — the
+	// (drop/duplicate/reorder/corrupt) into the UDP transport — the
 	// loss-tolerance testing seam. The zero value impairs nothing.
 	LossProfile LossProfile
 	// FlowCapacity bounds every client enclave's flow table (concurrent
@@ -104,7 +104,7 @@ type DeploymentOptions struct {
 	// later ones), measurement selectors and MinBuild resolve against it,
 	// and Revoke propagates live — new handshakes and resumes from the
 	// revoked build are refused before any crypto, and its live sessions
-	// are evicted (RevocationObserver.SessionRevoked). Nil disables
+	// are evicted (ObserverFuncs.OnRevoked). Nil disables
 	// attested-identity policy (only the default client build may enrol).
 	Policy *policy.Registry
 	// SealToMeasurement opts targeted rollouts into measurement-sealed
@@ -127,13 +127,10 @@ type DeploymentOptions struct {
 // ClientSpec configures one client joining a deployment. Data-path events
 // (inbound packets, alerts) are reported through the deployment's Observer.
 //
-// Exactly one source selects the initial middlebox configuration, in
-// precedence order: Pipeline (typed, preferred), ClickConfig (raw text),
-// UseCase (the five paper pipelines). All three are compiled and
-// validated at AddClient time — a spec that selects nothing, names an
-// unknown use case, or carries a configuration that does not build
-// returns an error wrapping ErrBadPipeline instead of failing inside the
-// enclave.
+// Pipeline selects the initial middlebox configuration. It is compiled
+// and validated at AddClient time — a spec that selects nothing or
+// carries a configuration that does not build returns an error wrapping
+// ErrBadPipeline instead of failing inside the enclave.
 type ClientSpec struct {
 	// Mode is the enclave execution mode. Required.
 	Mode sgx.Mode
@@ -141,18 +138,11 @@ type ClientSpec struct {
 	BurnCPU bool
 	// TransitionCost overrides the enclave transition cost.
 	TransitionCost time.Duration
-	// Pipeline is the typed middlebox pipeline the client boots with
-	// (build with the public mbox package: mbox.Chain, mbox.Raw,
-	// mbox.Stock). Takes precedence over ClickConfig and UseCase.
+	// Pipeline is the middlebox pipeline the client boots with. Required;
+	// build it with the public mbox package: mbox.Stock reproduces the
+	// paper's five use cases, mbox.Chain composes typed stages, and
+	// mbox.Raw wraps verbatim Click text.
 	Pipeline click.Pipeline
-	// UseCase selects one of the five stock middlebox configurations.
-	//
-	// Deprecated: prefer Pipeline (mbox.Stock reproduces the use cases).
-	UseCase click.UseCase
-	// ClickConfig overrides UseCase with an explicit configuration.
-	//
-	// Deprecated: prefer Pipeline (mbox.Raw wraps verbatim text).
-	ClickConfig string
 	// ExtraRuleSets adds named IDPS rule sets beyond the community set.
 	ExtraRuleSets map[string]string
 	// Labels attach operator-defined metadata to the client, matched by
@@ -181,25 +171,6 @@ type ClientSpec struct {
 // click layer so callers need only this package).
 var ErrBadPipeline = click.ErrBadPipeline
 
-// compileConfig resolves the typed-pipeline-vs-raw-text configuration
-// source shared by ClientSpec and Rollout, fully validating whichever is
-// set against the process registry and the given rule sets (errors wrap
-// ErrBadPipeline). Both empty returns "", nil — the caller supplies its
-// own default or error.
-func compileConfig(p click.Pipeline, raw string, ruleSets map[string]string) (string, error) {
-	switch {
-	case !p.Zero():
-		return p.Compile(nil, ruleSets)
-	case raw != "":
-		if err := click.ValidateConfig(raw, nil, ruleSets); err != nil {
-			return "", err
-		}
-		return raw, nil
-	default:
-		return "", nil
-	}
-}
-
 // mergedRuleSets is the community set plus the given extras — what a
 // client resolves rule-set names against.
 func mergedRuleSets(extra map[string]string) map[string]string {
@@ -208,21 +179,6 @@ func mergedRuleSets(extra map[string]string) map[string]string {
 		ruleSets[name] = text
 	}
 	return ruleSets
-}
-
-// compileSpec resolves a ClientSpec's middlebox configuration source
-// (Pipeline, ClickConfig, or UseCase) and fully validates it. Errors
-// wrap ErrBadPipeline.
-func compileSpec(spec ClientSpec, ruleSets map[string]string) (string, error) {
-	cfg, err := compileConfig(spec.Pipeline, spec.ClickConfig, ruleSets)
-	if err != nil || cfg != "" {
-		return cfg, err
-	}
-	if cfg = click.StandardConfig(spec.UseCase); cfg == "" {
-		return "", fmt.Errorf("%w: ClientSpec selects no middlebox function (set Pipeline, ClickConfig or a known UseCase; got UseCase %d)",
-			ErrBadPipeline, int(spec.UseCase))
-	}
-	return cfg, nil
 }
 
 // Deployment is a wired-up EndBox system. It is safe for concurrent use:
@@ -334,19 +290,7 @@ func NewDeployment(opts DeploymentOptions) (*Deployment, error) {
 	if d.transport == nil {
 		d.transport = NewInProcessTransport()
 	}
-	if opts.UDPWorkers > 0 {
-		if wt, ok := d.transport.(WorkerTransport); ok {
-			wt.SetWorkers(opts.UDPWorkers)
-		}
-	}
-	if rt, ok := d.transport.(ReliableTransport); ok {
-		rt.SetRetransmit(opts.Retransmit)
-	}
-	if !opts.LossProfile.Zero() {
-		if lt, ok := d.transport.(LossyTransport); ok {
-			lt.SetLossProfile(opts.LossProfile)
-		}
-	}
+	d.transport.Configure(opts.UDPWorkers, opts.Retransmit, opts.LossProfile)
 
 	srv, err := NewServer(ServerOptions{
 		CA:             ca,
@@ -420,8 +364,8 @@ func (d *Deployment) SweepSessions() []string {
 	evicted := d.Server.VPN().SweepExpired()
 	for _, id := range evicted {
 		d.reclaim(id)
-		if lo, ok := d.observe().(LifecycleObserver); ok {
-			lo.SessionEvicted(id)
+		if f := d.opts.Observer.OnEvicted; f != nil {
+			f(id)
 		}
 	}
 	return evicted
@@ -437,8 +381,8 @@ func (d *Deployment) revokeBuild(b policy.Build) {
 	d.CA.RevokeMeasurement(b.Measurement)
 	for _, id := range d.Server.VPN().EvictRevoked(b.Measurement) {
 		d.reclaim(id)
-		if ro, ok := d.observe().(RevocationObserver); ok {
-			ro.SessionRevoked(id, b.Name)
+		if f := d.opts.Observer.OnRevoked; f != nil {
+			f(id, b.Name)
 		}
 	}
 }
@@ -461,7 +405,7 @@ func (d *Deployment) RegisterBuild(name, buildVersion string) (sgx.Measurement, 
 
 // RevokeBuild revokes a named build: new handshakes and resumes from it
 // are refused before any crypto, its live sessions are evicted
-// (RevocationObserver.SessionRevoked fires per session), and the CA stops
+// (ObserverFuncs.OnRevoked fires per session), and the CA stops
 // certifying it. Shorthand for Policy().Revoke(name).
 func (d *Deployment) RevokeBuild(name string) error {
 	if d.opts.Policy == nil {
@@ -502,18 +446,6 @@ func (d *Deployment) reclaim(id string) {
 
 // Transport returns the transport carrying this deployment's traffic.
 func (d *Deployment) Transport() Transport { return d.transport }
-
-// noopObserver is the shared do-nothing observer, boxed once so the
-// per-packet deliver path never re-allocates the interface value.
-var noopObserver Observer = ObserverFuncs{}
-
-// observer returns the configured observer or a no-op.
-func (d *Deployment) observe() Observer {
-	if d.opts.Observer != nil {
-		return d.opts.Observer
-	}
-	return noopObserver
-}
 
 // failurePolicy resolves the containment policy every client enclave
 // boots with. Unlike the raw library (whose zero value is inert), a
@@ -575,8 +507,8 @@ func (d *Deployment) admit(clientID string) (func(), error) {
 	}
 	done, err := d.admission.Begin(d.Server.VPN().ClientCount(), d.opts.Clock().UnixNano())
 	if err != nil {
-		if lo, ok := d.observe().(LifecycleObserver); ok {
-			lo.AdmissionRefused(clientID, err)
+		if f := d.opts.Observer.OnRefused; f != nil {
+			f(clientID, err)
 		}
 		return nil, err
 	}
@@ -614,8 +546,8 @@ func (d *Deployment) AcceptResume(r *vpn.ResumeRequest) (*vpn.ResumeReply, error
 	if err != nil {
 		return nil, err
 	}
-	if lo, ok := d.observe().(LifecycleObserver); ok {
-		lo.SessionResumed(r.ClientID)
+	if f := d.opts.Observer.OnResumed; f != nil {
+		f(r.ClientID)
 	}
 	return reply, nil
 }
@@ -625,9 +557,9 @@ func (d *Deployment) HandleFrame(clientID string, frame []byte) error {
 	return d.Server.VPN().HandleFrame(clientID, frame)
 }
 
-// FrameShed implements the transport's optional shed-accounting hook:
-// a frame discarded by ingress overload shedding is recorded against the
-// client's virtual interface (VIFStats.Shed).
+// FrameShed implements ServerEndpoint: a frame discarded by ingress
+// overload shedding is recorded against the client's virtual interface
+// (VIFStats.Shed).
 func (d *Deployment) FrameShed(clientID string) {
 	d.Server.VPN().CountShed(clientID)
 }
@@ -649,7 +581,9 @@ func (d *Deployment) FetchConfig(version uint64) ([]byte, error) {
 // deliver routes packets accepted into the managed network: observer hook,
 // optional echo, optional client-to-client relay.
 func (d *Deployment) deliver(clientID string, ip []byte) {
-	d.observe().PacketDelivered(clientID, ip)
+	if f := d.opts.Observer.OnDelivered; f != nil {
+		f(clientID, ip)
+	}
 	var p packet.IPv4
 	if err := p.Parse(ip); err != nil {
 		return
@@ -698,35 +632,47 @@ func (d *Deployment) AddClient(ctx context.Context, id string, spec ClientSpec) 
 		}
 		d.RemoveClient(id)
 	}
+	return d.install(ctx, id, spec, nil, func(cli *Client, link ClientLink) error {
+		return cli.Connect(ctx, func(h *vpn.ClientHello) (*vpn.ServerHello, error) {
+			return link.Hello(ctx, h)
+		})
+	})
+}
+
+// install is the tail AddClient and ResumeClient share: open the client's
+// link, build the client (attested afresh, or restored from resume's
+// sealed identity), wire frame delivery, run the handshake, and register
+// the client under a tunnel address — resume's previous one when it is
+// still free.
+func (d *Deployment) install(ctx context.Context, id string, spec ClientSpec, resume *ResumeState,
+	handshake func(*Client, ClientLink) error) (*Client, error) {
 	link, err := d.transport.Link(ctx, id)
 	if err != nil {
 		return nil, err
 	}
-	cli, err := d.buildClient(ctx, link, id, spec)
+	cli, err := d.buildClient(ctx, link, id, spec, resume)
 	if err != nil {
 		link.Close()
 		return nil, err
 	}
-	if bl, ok := link.(BatchClientLink); ok {
-		// Burst-capable links hand over several queued frames at once so
-		// they cross the client's enclave boundary in a single ecall.
-		bl.SetDeliverBatch(func(frames [][]byte) error {
-			_, err := cli.HandleFrames(frames)
-			return err
-		})
-	} else {
-		link.SetDeliver(cli.HandleFrame)
-	}
-	if err := cli.Connect(ctx, func(h *vpn.ClientHello) (*vpn.ServerHello, error) {
-		return link.Hello(ctx, h)
-	}); err != nil {
+	// Bursts of queued frames cross the client's enclave boundary in a
+	// single ecall.
+	link.SetDeliver(func(frames [][]byte) error {
+		_, err := cli.HandleFrames(frames)
+		return err
+	})
+	if err := handshake(cli, link); err != nil {
 		cli.Close()
 		link.Close()
 		return nil, err
 	}
 
+	var prev packet.Addr
+	if resume != nil {
+		prev = resume.Addr
+	}
 	d.mu.Lock()
-	addr, ok := d.allocAddrLocked()
+	addr, ok := d.takeAddrLocked(prev)
 	if !ok {
 		d.mu.Unlock()
 		d.Server.VPN().Disconnect(id)
@@ -767,87 +713,76 @@ func (d *Deployment) allocAddrLocked() (packet.Addr, bool) {
 	return addr, true
 }
 
-// controlSend selects the link's control-class send path when the
-// transport distinguishes delivery classes (ControlLink), so pings, nacks
-// and health reports bypass the server's overload-shedding watermark. Nil
-// otherwise — the client falls back to its data send.
-func controlSend(link ClientLink) func(frame []byte) error {
-	if cl, ok := link.(ControlLink); ok {
-		return cl.SendControlFrame
-	}
-	return nil
-}
-
-// buildClient performs everything except the VPN handshake.
-func (d *Deployment) buildClient(ctx context.Context, link ClientLink, id string, spec ClientSpec) (*Client, error) {
+// buildClient compiles the spec's pipeline and creates the client's
+// enclave — everything except the VPN handshake. A fresh client registers
+// its platform and enrols through the link; a resumed one (resume non-nil)
+// restores its sealed identity instead, skipping those round trips.
+func (d *Deployment) buildClient(ctx context.Context, link ClientLink, id string, spec ClientSpec, resume *ResumeState) (*Client, error) {
 	ruleSets := mergedRuleSets(spec.ExtraRuleSets)
 	// Compile and validate the middlebox configuration before any enclave
 	// or attestation work: a bad pipeline fails here with a typed error
 	// instead of deep inside ecallInitClick.
-	cfg, err := compileSpec(spec, ruleSets)
+	cfg, err := spec.Pipeline.Compile(nil, ruleSets)
 	if err != nil {
 		return nil, err
 	}
-
-	cpu := sgx.NewCPU("client-cpu-" + id)
-	qe, err := attest.NewQuotingEnclave(cpu, "platform-"+id)
-	if err != nil {
-		return nil, err
-	}
-	caPub, err := link.Register(ctx, qe.PlatformID(), qe.VerificationKey())
-	if err != nil {
-		return nil, err
-	}
-
-	flowCapacity := spec.FlowCapacity
-	if flowCapacity == 0 {
-		flowCapacity = d.opts.FlowCapacity
-	}
-	flowTTL := spec.FlowTTL
-	if flowTTL == 0 {
-		flowTTL = d.opts.FlowTTL
-	}
-
-	obs := d.observe()
-	return NewClient(ClientOptions{
-		ID:             id,
-		CPU:            cpu,
-		Mode:           spec.Mode,
-		BurnCPU:        spec.BurnCPU,
-		TransitionCost: spec.TransitionCost,
-		CAPub:          caPub,
-		BuildVersion:   spec.BuildVersion,
-		QE:             qe,
-		Enroll: func(q attest.Quote) (*attest.Provision, error) {
-			return link.Enroll(ctx, q)
-		},
+	opts := ClientOptions{
+		ID: id,
+		// A resumed client's CPU comes from the same seed, so its sealed
+		// blobs unseal — the simulation's equivalent of restarting on the
+		// same physical machine.
+		CPU:                sgx.NewCPU("client-cpu-" + id),
+		Mode:               spec.Mode,
+		BurnCPU:            spec.BurnCPU,
+		TransitionCost:     spec.TransitionCost,
+		BuildVersion:       spec.BuildVersion,
 		ClickConfig:        cfg,
 		RuleSets:           ruleSets,
 		WireMode:           d.opts.Mode,
 		FlagClientToClient: spec.FlagClientToClient,
 		BatchEcalls:        !spec.NaiveEcalls,
-		FlowCapacity:       flowCapacity,
-		FlowTTL:            flowTTL,
+		FlowCapacity:       cmp.Or(spec.FlowCapacity, d.opts.FlowCapacity),
+		FlowTTL:            cmp.Or(spec.FlowTTL, d.opts.FlowTTL),
 		FetchConfig: func(version uint64) ([]byte, error) {
 			return link.FetchConfig(context.Background(), version)
 		},
 		Send:          link.SendFrame,
-		SendControl:   controlSend(link),
-		Deliver:       func(ip []byte) { obs.PacketReceived(id, ip) },
-		OnAlert:       func(a click.Alert) { obs.Alert(id, a) },
+		SendControl:   link.SendControlFrame,
 		FailurePolicy: d.failurePolicy(),
-		OnElementFault: func(f click.ElementFault) {
-			if fo, ok := obs.(FaultObserver); ok {
-				fo.OnElementFault(id, f)
-			}
-		},
-		OnUpdateFailed: func(version uint64, err error) {
-			if fo, ok := obs.(FaultObserver); ok {
-				fo.OnUpdateFailed(id, version, err)
-			}
-		},
-		Clock: d.opts.Clock,
-	})
+		Clock:         d.opts.Clock,
+	}
+	if resume != nil {
+		opts.CAPub = d.CA.PublicKey()
+		opts.SealedIdentity = resume.SealedIdentity
+		opts.ConfigVersion = resume.Version
+		opts.LKGVersion = resume.LKG
+	} else {
+		qe, err := attest.NewQuotingEnclave(opts.CPU, "platform-"+id)
+		if err != nil {
+			return nil, err
+		}
+		if opts.CAPub, err = link.Register(ctx, qe.PlatformID(), qe.VerificationKey()); err != nil {
+			return nil, err
+		}
+		opts.QE = qe
+		opts.Enroll = func(q attest.Quote) (*attest.Provision, error) {
+			return link.Enroll(ctx, q)
+		}
+	}
+	obs := d.opts.Observer
+	if f := obs.OnReceived; f != nil {
+		opts.Deliver = func(ip []byte) { f(id, ip) }
+	}
+	if f := obs.OnAlert; f != nil {
+		opts.OnAlert = func(a click.Alert) { f(id, a) }
+	}
+	if f := obs.OnFault; f != nil {
+		opts.OnElementFault = func(fault click.ElementFault) { f(id, fault) }
+	}
+	if f := obs.OnUpdateError; f != nil {
+		opts.OnUpdateFailed = func(version uint64, err error) { f(id, version, err) }
+	}
+	return NewClient(opts)
 }
 
 // ResumeState is everything a client needs to re-establish its session
@@ -913,60 +848,11 @@ func (d *Deployment) ResumeClient(ctx context.Context, state ResumeState, spec C
 	if dup {
 		d.RemoveClient(id)
 	}
-	link, err := d.transport.Link(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	rl, ok := link.(ResumeLink)
-	if !ok {
-		link.Close()
-		return nil, fmt.Errorf("core: transport cannot resume client %q (no ResumeLink); use AddClient", id)
-	}
-	cli, err := d.buildResumedClient(ctx, link, id, spec, state)
-	if err != nil {
-		link.Close()
-		return nil, err
-	}
-	if bl, ok := link.(BatchClientLink); ok {
-		bl.SetDeliverBatch(func(frames [][]byte) error {
-			_, err := cli.HandleFrames(frames)
-			return err
+	return d.install(ctx, id, spec, &state, func(cli *Client, link ClientLink) error {
+		return cli.Resume(ctx, state.Secret, state.Ticket, func(r *vpn.ResumeRequest) (*vpn.ResumeReply, error) {
+			return link.Resume(ctx, r)
 		})
-	} else {
-		link.SetDeliver(cli.HandleFrame)
-	}
-	if err := cli.Resume(ctx, state.Secret, state.Ticket, func(r *vpn.ResumeRequest) (*vpn.ResumeReply, error) {
-		return rl.Resume(ctx, r)
-	}); err != nil {
-		cli.Close()
-		link.Close()
-		return nil, err
-	}
-
-	d.mu.Lock()
-	addr, ok := d.takeAddrLocked(state.Addr)
-	if !ok {
-		d.mu.Unlock()
-		d.Server.VPN().Disconnect(id)
-		cli.Close()
-		link.Close()
-		return nil, fmt.Errorf("core: tunnel address space exhausted (10.8.0.0/24)")
-	}
-	d.clients[id] = cli
-	d.links[id] = link
-	d.lastSeq++
-	d.joinSeq[id] = d.lastSeq
-	if len(spec.Labels) > 0 {
-		labels := make(map[string]string, len(spec.Labels))
-		for k, v := range spec.Labels {
-			labels[k] = v
-		}
-		d.labels[id] = labels
-	}
-	d.addrs[addr] = id
-	d.addrByID[id] = addr
-	d.mu.Unlock()
-	return cli, nil
+	})
 }
 
 // takeAddrLocked reclaims the session's previous tunnel address when it
@@ -984,68 +870,6 @@ func (d *Deployment) takeAddrLocked(prev packet.Addr) (packet.Addr, bool) {
 		}
 	}
 	return d.allocAddrLocked()
-}
-
-// buildResumedClient rebuilds a client's enclave from its sealed
-// identity: everything buildClient does except the attestation and
-// enrolment round trips (Register, Quote, Enroll), which the sealed
-// identity replaces.
-func (d *Deployment) buildResumedClient(ctx context.Context, link ClientLink, id string, spec ClientSpec, state ResumeState) (*Client, error) {
-	ruleSets := mergedRuleSets(spec.ExtraRuleSets)
-	cfg, err := compileSpec(spec, ruleSets)
-	if err != nil {
-		return nil, err
-	}
-	flowCapacity := spec.FlowCapacity
-	if flowCapacity == 0 {
-		flowCapacity = d.opts.FlowCapacity
-	}
-	flowTTL := spec.FlowTTL
-	if flowTTL == 0 {
-		flowTTL = d.opts.FlowTTL
-	}
-	obs := d.observe()
-	return NewClient(ClientOptions{
-		ID: id,
-		// The same seed rebuilds the same virtual CPU, so the sealed
-		// blobs unseal — the simulation's equivalent of restarting on the
-		// same physical machine.
-		CPU:                sgx.NewCPU("client-cpu-" + id),
-		Mode:               spec.Mode,
-		BurnCPU:            spec.BurnCPU,
-		TransitionCost:     spec.TransitionCost,
-		CAPub:              d.CA.PublicKey(),
-		BuildVersion:       spec.BuildVersion,
-		SealedIdentity:     state.SealedIdentity,
-		ClickConfig:        cfg,
-		RuleSets:           ruleSets,
-		ConfigVersion:      state.Version,
-		WireMode:           d.opts.Mode,
-		FlagClientToClient: spec.FlagClientToClient,
-		BatchEcalls:        !spec.NaiveEcalls,
-		FlowCapacity:       flowCapacity,
-		FlowTTL:            flowTTL,
-		FetchConfig: func(version uint64) ([]byte, error) {
-			return link.FetchConfig(context.Background(), version)
-		},
-		Send:          link.SendFrame,
-		SendControl:   controlSend(link),
-		Deliver:       func(ip []byte) { obs.PacketReceived(id, ip) },
-		OnAlert:       func(a click.Alert) { obs.Alert(id, a) },
-		FailurePolicy: d.failurePolicy(),
-		LKGVersion:    state.LKG,
-		OnElementFault: func(f click.ElementFault) {
-			if fo, ok := obs.(FaultObserver); ok {
-				fo.OnElementFault(id, f)
-			}
-		},
-		OnUpdateFailed: func(version uint64, err error) {
-			if fo, ok := obs.(FaultObserver); ok {
-				fo.OnUpdateFailed(id, version, err)
-			}
-		},
-		Clock: d.opts.Clock,
-	})
 }
 
 // LifecycleStats snapshots the deployment's session lifecycle counters:

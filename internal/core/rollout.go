@@ -100,11 +100,10 @@ type Rollout struct {
 	// clients' previous configuration version (paper §III-E). For a
 	// targeted rollout the deadline applies per target group.
 	GraceSeconds uint32
-	// Pipeline is the typed pipeline to roll out (takes precedence over
-	// ClickConfig). Compiled and validated before anything is published.
+	// Pipeline is the pipeline to roll out (mbox.Raw wraps verbatim Click
+	// text). Required; compiled and validated before anything is
+	// published.
 	Pipeline click.Pipeline
-	// ClickConfig is the raw-text alternative to Pipeline.
-	ClickConfig string
 	// RuleSets ships named IDPS rule sets with the update.
 	RuleSets map[string]string
 	// Target selects the clients to roll out to (zero = all).
@@ -140,15 +139,12 @@ func (d *Deployment) Rollout(ctx context.Context, r Rollout) (RolloutResult, err
 		return RolloutResult{}, fmt.Errorf("core: rollout needs a version")
 	}
 	// Validate against the community set plus whatever the update ships:
-	// that is what a freshly joined client resolves rule sets from. The
-	// helper is the same one AddClient uses, so the two API entry points
-	// cannot drift in what they accept.
-	cfg, err := compileConfig(r.Pipeline, r.ClickConfig, mergedRuleSets(r.RuleSets))
+	// that is what a freshly joined client resolves rule sets from —
+	// AddClient compiles against the same merge, so the two API entry
+	// points cannot drift in what they accept.
+	cfg, err := r.Pipeline.Compile(nil, mergedRuleSets(r.RuleSets))
 	if err != nil {
 		return RolloutResult{}, err
-	}
-	if cfg == "" {
-		return RolloutResult{}, fmt.Errorf("%w: rollout selects no middlebox function (set Pipeline or ClickConfig)", ErrBadPipeline)
 	}
 
 	u := &config.Update{

@@ -14,9 +14,10 @@ import (
 
 // ServerEndpoint is the server-side surface a Transport dispatches into:
 // everything a remote client may ask of the operator — platform
-// registration, remote attestation, the VPN handshake, configuration
-// fetches and data-channel frames. Deployment implements it; transports
-// must not assume any other methods.
+// registration, remote attestation, the VPN handshake and fast resume,
+// configuration fetches and data-channel frames — plus the shed
+// accounting of transports that drop frames under overload. Deployment
+// implements it; transports must not assume any other methods.
 type ServerEndpoint interface {
 	// RegisterPlatform records a platform's quoting-enclave key with the
 	// IAS (standing in for Intel's manufacturing provisioning) and returns
@@ -37,14 +38,18 @@ type ServerEndpoint interface {
 	// HandleFrame returns — neither side retains it (see DESIGN.md
 	// "Buffer ownership").
 	HandleFrame(clientID string, frame []byte) error
+	// FrameShed records one frame from clientID discarded by the
+	// transport's ingress overload shedding (VIFStats.Shed). Transports
+	// that never shed never call it.
+	FrameShed(clientID string)
 	// FetchConfig retrieves a sealed configuration blob; version 0 selects
 	// the latest published version.
 	FetchConfig(version uint64) ([]byte, error)
 }
 
 // ClientLink is one client's endpoint of a Transport: control-plane round
-// trips plus the sealed data channel. All methods are safe for concurrent
-// use once the link is established.
+// trips plus the sealed data channel in both delivery classes. All
+// methods are safe for concurrent use once the link is established.
 type ClientLink interface {
 	// Register performs platform registration, returning the CA key.
 	Register(ctx context.Context, platformID string, key ed25519.PublicKey) (ed25519.PublicKey, error)
@@ -52,67 +57,34 @@ type ClientLink interface {
 	Enroll(ctx context.Context, q attest.Quote) (*attest.Provision, error)
 	// Hello performs the VPN handshake round trip.
 	Hello(ctx context.Context, h *vpn.ClientHello) (*vpn.ServerHello, error)
+	// Resume performs the fast-resume round trip (MsgResume).
+	Resume(ctx context.Context, r *vpn.ResumeRequest) (*vpn.ResumeReply, error)
 	// FetchConfig retrieves a sealed configuration blob (0 = latest).
 	FetchConfig(ctx context.Context, version uint64) ([]byte, error)
-	// SendFrame transmits one sealed client->server frame. The frame is
-	// lent for the duration of the call; the caller may recycle its buffer
-	// once SendFrame returns.
+	// SendFrame transmits one sealed client->server data frame. The frame
+	// is lent for the duration of the call; the caller may recycle its
+	// buffer once SendFrame returns.
 	SendFrame(frame []byte) error
-	// SetDeliver installs the handler for server->client frames. It must be
-	// called before the handshake; frames arriving earlier may be dropped.
-	// Frames are lent to the handler for the duration of the call only —
-	// handlers that keep them must copy.
-	SetDeliver(fn func(frame []byte) error)
+	// SendControlFrame transmits one sealed control-class frame
+	// (keepalive pings, nacks, health reports), which a shedding server
+	// ingress accepts past its overload watermark so a data flood cannot
+	// silence the signals that manage the fleet. Lending semantics match
+	// SendFrame; a transport that never sheds sends it like SendFrame.
+	SendControlFrame(frame []byte) error
+	// SetDeliver installs the handler for server->client frames. It must
+	// be called before the handshake; frames arriving earlier may be
+	// dropped. A burst of queued frames is handed over in one call so it
+	// crosses the client's enclave boundary in one ecall. Frames are lent
+	// to the handler for the duration of the call only — handlers that
+	// keep them must copy.
+	SetDeliver(fn func(frames [][]byte) error)
 	// Close releases the link.
 	Close() error
 }
 
-// ControlLink is optionally implemented by client links whose transport
-// distinguishes delivery classes: SendControlFrame transmits a sealed
-// frame marked control-class, which the server's ingress pool accepts
-// past its overload-shedding watermark. Keepalive pings, nacks and health
-// reports ride it so a data flood cannot silence the signals that manage
-// the fleet. Links without it (the in-process transport never sheds) use
-// SendFrame for everything.
-type ControlLink interface {
-	// SendControlFrame transmits one sealed control-class frame. Lending
-	// semantics match SendFrame.
-	SendControlFrame(frame []byte) error
-}
-
-// ResumeLink is optionally implemented by client links that can carry
-// the fast-resume round trip (MsgResume). Both built-in transports do;
-// a deployment resuming a client over a link without it falls back to a
-// full handshake error so the caller can AddClient instead.
-type ResumeLink interface {
-	// Resume performs the resume round trip.
-	Resume(ctx context.Context, r *vpn.ResumeRequest) (*vpn.ResumeReply, error)
-}
-
-// BatchClientLink is optionally implemented by client links that can
-// deliver server->client frames in bursts. A deployment prefers
-// SetDeliverBatch over SetDeliver when available, so a burst of queued
-// frames crosses the client's enclave boundary in one ecall instead of
-// one per frame.
-type BatchClientLink interface {
-	// SetDeliverBatch installs the burst handler for server->client
-	// frames. Like SetDeliver it must be called before the handshake;
-	// installing it replaces any per-frame handler.
-	SetDeliverBatch(fn func(frames [][]byte) error)
-}
-
-// WorkerTransport is optionally implemented by transports whose server
-// ingress can be pipelined across a worker pool. SetWorkers must be called
-// before BindServer.
-type WorkerTransport interface {
-	// SetWorkers sets the ingress worker count (0 restores the
-	// single-goroutine serve loop).
-	SetWorkers(n int)
-}
-
 // RetransmitConfig tunes the control-path ARQ layer of transports that
 // support reliable delivery over a lossy datagram network (see
-// ReliableTransport and docs/PROTOCOL.md). The zero value selects the
+// Transport.Configure and docs/PROTOCOL.md). The zero value selects the
 // defaults with the ARQ layer enabled; set Disable to fall back to
 // fire-and-forget control messages. Data-channel frames are never
 // retransmitted — reliability applies to the control/configuration path
@@ -178,15 +150,6 @@ func (c RetransmitConfig) TransferDeadline() time.Duration {
 	return d
 }
 
-// ReliableTransport is optionally implemented by transports whose
-// control/configuration path can retransmit lost datagrams.
-// SetRetransmit must be called before BindServer.
-type ReliableTransport interface {
-	// SetRetransmit installs the ARQ tuning (zero value = defaults,
-	// enabled; RetransmitConfig.Disable opts out).
-	SetRetransmit(cfg RetransmitConfig)
-}
-
 // LossProfile describes simulated network impairment applied to a
 // transport's control-path datagrams — the testing seam behind
 // WithLossProfile. Probabilities are in [0, 1]; the zero value impairs
@@ -214,15 +177,6 @@ func (p LossProfile) Zero() bool {
 	return p.Drop == 0 && p.Duplicate == 0 && p.Reorder == 0 && p.CorruptEvery == 0
 }
 
-// LossyTransport is optionally implemented by transports that can inject
-// simulated control-path impairment for loss-tolerance tests.
-// SetLossProfile must be called before BindServer.
-type LossyTransport interface {
-	// SetLossProfile installs (or, with a zero profile, removes) the
-	// simulated impairment on control-path sends.
-	SetLossProfile(p LossProfile)
-}
-
 // Transport moves sealed VPN frames and control-plane messages between the
 // server side of a deployment and its clients. The same Deployment code
 // drives an in-process transport (direct calls, zero copies — the unit-test
@@ -230,6 +184,12 @@ type LossyTransport interface {
 // cmd/endbox-client over UDP); implementations must be safe for concurrent
 // use.
 type Transport interface {
+	// Configure applies the deployment's transport settings: the server
+	// ingress worker count (0 = a single serve goroutine), the
+	// control-path ARQ tuning, and the simulated control-path impairment
+	// (zero = none). It is called exactly once, before BindServer. A
+	// transport that cannot lose or pipeline anything ignores it.
+	Configure(workers int, retransmit RetransmitConfig, loss LossProfile)
 	// BindServer attaches the server-side endpoint. It is called exactly
 	// once, before any Link or SendToClient.
 	BindServer(ep ServerEndpoint) error
@@ -241,221 +201,52 @@ type Transport interface {
 	Close() error
 }
 
-// Observer receives deployment-wide data-path events. It replaces the bare
-// OnDeliver/Deliver/OnAlert callbacks of the original API: one composable
-// interface, with the client identified explicitly so a single observer can
-// watch any number of clients. Implementations must be safe for concurrent
-// use; the deployment invokes them from whichever goroutine carried the
-// packet.
-type Observer interface {
-	// PacketDelivered fires when a client packet is accepted into the
-	// managed network (server side, after middlebox + policy checks).
-	PacketDelivered(clientID string, ip []byte)
-	// PacketReceived fires when an inbound packet is delivered to a client
-	// application (client side, after in-enclave processing).
-	PacketReceived(clientID string, ip []byte)
-	// Alert fires for middlebox alerts raised inside a client's enclave.
-	Alert(clientID string, a click.Alert)
-}
-
-// LifecycleObserver is optionally implemented by Observers that also
-// want session lifecycle events: evictions by the liveness sweep, fast
-// resumes, and admission-control refusals. The deployment type-asserts
-// its observer once; a plain Observer sees only data-path events.
-type LifecycleObserver interface {
-	// SessionEvicted fires when the liveness sweep evicts an idle
-	// session (its VIF address and shard slot have been reclaimed).
-	SessionEvicted(clientID string)
-	// SessionResumed fires when a client re-establishes its session from
-	// a resumption ticket.
-	SessionResumed(clientID string)
-	// AdmissionRefused fires when admission control turns a handshake or
-	// resume away; err is ErrAdmissionThrottled or ErrServerFull.
-	AdmissionRefused(clientID string, err error)
-}
-
-// RevocationObserver is optionally implemented by Observers that also
-// want build-revocation events. It is separate from LifecycleObserver so
-// existing implementors keep compiling; the deployment type-asserts it
-// independently.
-type RevocationObserver interface {
-	// SessionRevoked fires when a live session is evicted because its
-	// attested enclave build was revoked (policy.Registry.Revoke). build
-	// is the registered build name. Liveness evictions fire
-	// SessionEvicted instead.
-	SessionRevoked(clientID, build string)
-}
-
-// FaultObserver is optionally implemented by Observers that also want
-// robustness events: element faults (recovered panics, quarantine trips)
-// inside client enclaves, and announced configuration versions a client
-// could not apply. The deployment type-asserts its observer once, like
-// LifecycleObserver; a plain Observer sees only data-path events.
-type FaultObserver interface {
-	// OnElementFault fires for every containment event in a client's
-	// pipeline: each recovered panic, and the trip that quarantines the
-	// element (Quarantined true).
-	OnElementFault(clientID string, f click.ElementFault)
-	// OnUpdateFailed fires when a client fails to apply a
-	// server-announced configuration version — previously only visible
-	// by polling Client.LastUpdateError.
-	OnUpdateFailed(clientID string, version uint64, err error)
-}
-
-// ObserverFuncs adapts plain functions to Observer (and, via the
-// lifecycle and fault fields, to LifecycleObserver and FaultObserver);
-// nil fields ignore the corresponding event.
+// ObserverFuncs receives deployment-wide events: the data path (packets
+// accepted into the managed network, packets delivered to client
+// applications, middlebox alerts), the session lifecycle (evictions,
+// resumes, admission refusals, build revocations) and robustness events
+// (element faults, configuration versions a client could not apply). The
+// client is identified explicitly so one observer can watch any number
+// of clients. Nil fields ignore their event; repeated WithObserver calls
+// compose. Callbacks must be safe for concurrent use: the deployment
+// invokes them from whichever goroutine carried the event.
 type ObserverFuncs struct {
-	OnDelivered   func(clientID string, ip []byte)
-	OnReceived    func(clientID string, ip []byte)
-	OnAlert       func(clientID string, a click.Alert)
-	OnEvicted     func(clientID string)
-	OnResumed     func(clientID string)
-	OnRefused     func(clientID string, err error)
-	OnRevoked     func(clientID, build string)
-	OnFault       func(clientID string, f click.ElementFault)
+	// OnDelivered fires when a client packet is accepted into the managed
+	// network (server side, after middlebox + policy checks).
+	OnDelivered func(clientID string, ip []byte)
+	// OnReceived fires when an inbound packet is delivered to a client
+	// application (client side, after in-enclave processing).
+	OnReceived func(clientID string, ip []byte)
+	// OnAlert fires for middlebox alerts raised inside a client's enclave.
+	OnAlert func(clientID string, a click.Alert)
+	// OnEvicted fires when the liveness sweep evicts an idle session (its
+	// VIF address and shard slot have been reclaimed).
+	OnEvicted func(clientID string)
+	// OnResumed fires when a client re-establishes its session from a
+	// resumption ticket.
+	OnResumed func(clientID string)
+	// OnRefused fires when admission control turns a handshake or resume
+	// away; err is ErrAdmissionThrottled or ErrServerFull.
+	OnRefused func(clientID string, err error)
+	// OnRevoked fires when a live session is evicted because its attested
+	// enclave build was revoked; build is the registered build name.
+	// Liveness evictions fire OnEvicted instead.
+	OnRevoked func(clientID, build string)
+	// OnFault fires for every containment event in a client's pipeline:
+	// each recovered panic, and the trip that quarantines the element.
+	OnFault func(clientID string, f click.ElementFault)
+	// OnUpdateError fires when a client fails to apply a server-announced
+	// configuration version.
 	OnUpdateError func(clientID string, version uint64, err error)
 }
 
-// PacketDelivered implements Observer.
-func (o ObserverFuncs) PacketDelivered(clientID string, ip []byte) {
-	if o.OnDelivered != nil {
-		o.OnDelivered(clientID, ip)
-	}
-}
-
-// PacketReceived implements Observer.
-func (o ObserverFuncs) PacketReceived(clientID string, ip []byte) {
-	if o.OnReceived != nil {
-		o.OnReceived(clientID, ip)
-	}
-}
-
-// Alert implements Observer.
-func (o ObserverFuncs) Alert(clientID string, a click.Alert) {
-	if o.OnAlert != nil {
-		o.OnAlert(clientID, a)
-	}
-}
-
-// SessionEvicted implements LifecycleObserver.
-func (o ObserverFuncs) SessionEvicted(clientID string) {
-	if o.OnEvicted != nil {
-		o.OnEvicted(clientID)
-	}
-}
-
-// SessionResumed implements LifecycleObserver.
-func (o ObserverFuncs) SessionResumed(clientID string) {
-	if o.OnResumed != nil {
-		o.OnResumed(clientID)
-	}
-}
-
-// AdmissionRefused implements LifecycleObserver.
-func (o ObserverFuncs) AdmissionRefused(clientID string, err error) {
-	if o.OnRefused != nil {
-		o.OnRefused(clientID, err)
-	}
-}
-
-// SessionRevoked implements RevocationObserver.
-func (o ObserverFuncs) SessionRevoked(clientID, build string) {
-	if o.OnRevoked != nil {
-		o.OnRevoked(clientID, build)
-	}
-}
-
-// OnElementFault implements FaultObserver.
-func (o ObserverFuncs) OnElementFault(clientID string, f click.ElementFault) {
-	if o.OnFault != nil {
-		o.OnFault(clientID, f)
-	}
-}
-
-// OnUpdateFailed implements FaultObserver.
-func (o ObserverFuncs) OnUpdateFailed(clientID string, version uint64, err error) {
-	if o.OnUpdateError != nil {
-		o.OnUpdateError(clientID, version, err)
-	}
-}
-
-// MultiObserver fans events out to several observers in order.
-func MultiObserver(obs ...Observer) Observer { return multiObserver(obs) }
-
-type multiObserver []Observer
-
-func (m multiObserver) PacketDelivered(clientID string, ip []byte) {
-	for _, o := range m {
-		o.PacketDelivered(clientID, ip)
-	}
-}
-
-func (m multiObserver) PacketReceived(clientID string, ip []byte) {
-	for _, o := range m {
-		o.PacketReceived(clientID, ip)
-	}
-}
-
-func (m multiObserver) Alert(clientID string, a click.Alert) {
-	for _, o := range m {
-		o.Alert(clientID, a)
-	}
-}
-
-// multiObserver also fans out lifecycle events, to whichever members
-// implement LifecycleObserver.
-
-func (m multiObserver) SessionEvicted(clientID string) {
-	for _, o := range m {
-		if lo, ok := o.(LifecycleObserver); ok {
-			lo.SessionEvicted(clientID)
-		}
-	}
-}
-
-func (m multiObserver) SessionResumed(clientID string) {
-	for _, o := range m {
-		if lo, ok := o.(LifecycleObserver); ok {
-			lo.SessionResumed(clientID)
-		}
-	}
-}
-
-func (m multiObserver) AdmissionRefused(clientID string, err error) {
-	for _, o := range m {
-		if lo, ok := o.(LifecycleObserver); ok {
-			lo.AdmissionRefused(clientID, err)
-		}
-	}
-}
-
-func (m multiObserver) SessionRevoked(clientID, build string) {
-	for _, o := range m {
-		if ro, ok := o.(RevocationObserver); ok {
-			ro.SessionRevoked(clientID, build)
-		}
-	}
-}
-
-// multiObserver fans fault events out to whichever members implement
-// FaultObserver.
-
-func (m multiObserver) OnElementFault(clientID string, f click.ElementFault) {
-	for _, o := range m {
-		if fo, ok := o.(FaultObserver); ok {
-			fo.OnElementFault(clientID, f)
-		}
-	}
-}
-
-func (m multiObserver) OnUpdateFailed(clientID string, version uint64, err error) {
-	for _, o := range m {
-		if fo, ok := o.(FaultObserver); ok {
-			fo.OnUpdateFailed(clientID, version, err)
-		}
-	}
-}
+// Both transports (this file's and internal/udptransport's) serve the same
+// Deployment through these three contracts.
+var (
+	_ Transport      = (*InProcessTransport)(nil)
+	_ ClientLink     = (*inprocLink)(nil)
+	_ ServerEndpoint = (*Deployment)(nil)
+)
 
 // InProcessTransport links clients to the server by direct function calls —
 // the configuration every in-memory deployment, test and benchmark uses.
@@ -472,6 +263,10 @@ type InProcessTransport struct {
 func NewInProcessTransport() *InProcessTransport {
 	return &InProcessTransport{links: make(map[string]*inprocLink)}
 }
+
+// Configure implements Transport. Direct calls cannot lose, reorder or
+// pipeline anything, so every setting is ignored.
+func (t *InProcessTransport) Configure(int, RetransmitConfig, LossProfile) {}
 
 // BindServer implements Transport.
 func (t *InProcessTransport) BindServer(ep ServerEndpoint) error {
@@ -536,9 +331,13 @@ type inprocLink struct {
 	clientID string
 
 	mu      sync.RWMutex
-	deliver func(frame []byte) error
+	deliver func(frames [][]byte) error
 	closed  bool
 }
+
+// oneFrame recycles the single-element bursts the in-process link hands
+// its burst handler, keeping each delivery allocation-free.
+var oneFrame = sync.Pool{New: func() any { return new([1][]byte) }}
 
 func (l *inprocLink) endpoint() (ServerEndpoint, error) {
 	l.mu.RLock()
@@ -592,7 +391,7 @@ func (l *inprocLink) Hello(ctx context.Context, h *vpn.ClientHello) (*vpn.Server
 	return ep.AcceptHello(h)
 }
 
-// Resume implements ResumeLink.
+// Resume implements ClientLink.
 func (l *inprocLink) Resume(ctx context.Context, r *vpn.ResumeRequest) (*vpn.ResumeReply, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -625,8 +424,12 @@ func (l *inprocLink) SendFrame(frame []byte) error {
 	return ep.HandleFrame(l.clientID, frame)
 }
 
+// SendControlFrame implements ClientLink. The in-process transport never
+// sheds, so control-class frames take the SendFrame path.
+func (l *inprocLink) SendControlFrame(frame []byte) error { return l.SendFrame(frame) }
+
 // SetDeliver implements ClientLink.
-func (l *inprocLink) SetDeliver(fn func(frame []byte) error) {
+func (l *inprocLink) SetDeliver(fn func(frames [][]byte) error) {
 	l.mu.Lock()
 	l.deliver = fn
 	l.mu.Unlock()
@@ -644,7 +447,12 @@ func (l *inprocLink) deliverFrame(frame []byte) error {
 	if fn == nil {
 		return fmt.Errorf("core: client %q has no frame handler", l.clientID)
 	}
-	return fn(frame)
+	burst := oneFrame.Get().(*[1][]byte)
+	burst[0] = frame
+	err := fn(burst[:])
+	burst[0] = nil
+	oneFrame.Put(burst)
+	return err
 }
 
 // Close implements ClientLink.

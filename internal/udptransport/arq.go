@@ -7,7 +7,9 @@ package udptransport
 // complete inner datagram (type byte + body) wrapped in a MsgRel envelope
 // carrying (transfer id, seq, total). The receiver acknowledges with
 // MsgAck datagrams carrying a cumulative ack plus a 32-bit selective-ack
-// bitmap; the sender keeps a bounded window of unacknowledged segments in
+// bitmap. Both carry a CRC-32C trailer over their body, checked before a
+// segment is acknowledged or decoded, so a damaged datagram is discarded
+// exactly like a lost one; the sender keeps a bounded window of unacknowledged segments in
 // flight, retransmits on a backed-off timer with a retry budget, and
 // fast-retransmits segments a selective ack proves lost. The receiver
 // deduplicates (a retransmitted segment is re-acked, not re-delivered)
@@ -17,7 +19,9 @@ package udptransport
 //
 // Transfer IDs are namespaced per direction: an ack for transfer X always
 // refers to an outgoing transfer X of the ack's receiver, so the two
-// endpoints allocate IDs independently.
+// endpoints allocate IDs independently. Each peer's IDs start at a random
+// uint32, so a new link that inherits a reused source port cannot collide
+// with the transfers the server remembers from the port's previous owner.
 //
 // Data-channel frames (MsgFrame) never pass through this layer: they stay
 // fire-and-forget and allocation-free.
@@ -25,6 +29,8 @@ package udptransport
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"time"
@@ -39,10 +45,13 @@ type RetransmitConfig = core.RetransmitConfig
 const (
 	// relHeaderLen is the MsgRel envelope: type, transfer id, seq, total.
 	relHeaderLen = 1 + 4 + 2 + 2
-	// ackBodyLen is the MsgAck body: transfer id, cumulative ack, bitmap.
-	ackBodyLen = 4 + 2 + 4
+	// crcLen is the CRC-32C trailer closing every MsgRel and MsgAck.
+	crcLen = 4
+	// ackBodyLen is the MsgAck body: transfer id, cumulative ack, bitmap,
+	// trailer.
+	ackBodyLen = 4 + 2 + 4 + crcLen
 	// maxRelInner bounds the inner datagram a single segment can carry.
-	maxRelInner = MaxDatagram - relHeaderLen
+	maxRelInner = MaxDatagram - relHeaderLen - crcLen
 	// maxSegments bounds a transfer's segment count. Derived from
 	// MaxChunks so the largest configuration fetch the chunker may
 	// produce is always sendable as one transfer (the uint16 seq space
@@ -74,20 +83,47 @@ var ErrRetryBudget = fmt.Errorf("udptransport: retransmit budget exhausted")
 // ErrLinkClosed reports a transfer aborted because its endpoint closed.
 var ErrLinkClosed = fmt.Errorf("udptransport: link closed")
 
-// encodeRel wraps one inner datagram in a MsgRel envelope.
+// castagnoli is the CRC-32C table of the MsgRel/MsgAck trailers.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// sealCRC fills the datagram's last crcLen bytes with the CRC-32C of its
+// body: everything between the type byte and the trailer.
+func sealCRC(datagram []byte) {
+	n := len(datagram) - crcLen
+	binary.BigEndian.PutUint32(datagram[n:], crc32.Checksum(datagram[1:n], castagnoli))
+}
+
+// checkCRC verifies a MsgRel or MsgAck body (without the type byte)
+// against its trailer and returns the body without it.
+func checkCRC(body []byte) ([]byte, error) {
+	n := len(body) - crcLen
+	if n < 0 {
+		return nil, fmt.Errorf("udptransport: %d-byte datagram has no checksum", len(body))
+	}
+	if crc32.Checksum(body[:n], castagnoli) != binary.BigEndian.Uint32(body[n:]) {
+		return nil, fmt.Errorf("udptransport: checksum mismatch")
+	}
+	return body[:n], nil
+}
+
+// encodeRel wraps one inner datagram in a checksummed MsgRel envelope.
 func encodeRel(xfer uint32, seq, total uint16, inner []byte) []byte {
-	out := make([]byte, relHeaderLen+len(inner))
+	out := make([]byte, relHeaderLen+len(inner)+crcLen)
 	out[0] = MsgRel
 	binary.BigEndian.PutUint32(out[1:], xfer)
 	binary.BigEndian.PutUint16(out[5:], seq)
 	binary.BigEndian.PutUint16(out[7:], total)
 	copy(out[relHeaderLen:], inner)
+	sealCRC(out)
 	return out
 }
 
-// decodeRel splits a MsgRel body (without the type byte) into its header
-// and inner datagram. The inner slice aliases body.
+// decodeRel verifies a MsgRel body (without the type byte) and splits it
+// into its header and inner datagram. The inner slice aliases body.
 func decodeRel(body []byte) (xfer uint32, seq, total uint16, inner []byte, err error) {
+	if body, err = checkCRC(body); err != nil {
+		return 0, 0, 0, nil, err
+	}
 	if len(body) < relHeaderLen-1 {
 		return 0, 0, 0, nil, fmt.Errorf("udptransport: short reliable envelope (%d bytes)", len(body))
 	}
@@ -100,21 +136,26 @@ func decodeRel(body []byte) (xfer uint32, seq, total uint16, inner []byte, err e
 	return xfer, seq, total, body[8:], nil
 }
 
-// encodeAck builds a MsgAck datagram: cum is the next expected seq (all
-// segments below it received); bitmap bit i reports segment cum+i.
+// encodeAck builds a checksummed MsgAck datagram: cum is the next
+// expected seq (all segments below it received); bitmap bit i reports
+// segment cum+i.
 func encodeAck(xfer uint32, cum uint16, bitmap uint32) []byte {
 	out := make([]byte, 1+ackBodyLen)
 	out[0] = MsgAck
 	binary.BigEndian.PutUint32(out[1:], xfer)
 	binary.BigEndian.PutUint16(out[5:], cum)
 	binary.BigEndian.PutUint32(out[7:], bitmap)
+	sealCRC(out)
 	return out
 }
 
-// decodeAck splits a MsgAck body (without the type byte).
+// decodeAck verifies and splits a MsgAck body (without the type byte).
 func decodeAck(body []byte) (xfer uint32, cum uint16, bitmap uint32, err error) {
 	if len(body) != ackBodyLen {
 		return 0, 0, 0, fmt.Errorf("udptransport: bad ack length %d", len(body))
+	}
+	if body, err = checkCRC(body); err != nil {
+		return 0, 0, 0, err
 	}
 	return binary.BigEndian.Uint32(body),
 		binary.BigEndian.Uint16(body[4:]),
@@ -185,12 +226,15 @@ type xmit struct {
 
 // recvState is one incoming reliable transfer being reassembled.
 type recvState struct {
-	total  uint16
-	got    []bool
-	count  int
-	probes int
-	delay  time.Duration
-	timer  *time.Timer // gap probe
+	total uint16
+	got   []bool
+	// claimed marks segments being handed upward outside the lock: a
+	// duplicate arriving meanwhile is dropped instead of delivered twice.
+	claimed []bool
+	count   int
+	probes  int
+	delay   time.Duration
+	timer   *time.Timer // gap probe
 }
 
 // newARQ creates the layer. transmit is the raw (post-impairment) datagram
@@ -214,8 +258,9 @@ func (a *arq) peer(key string, addr *net.UDPAddr) *arqPeer {
 			a.sweepPeersLocked()
 		}
 		p = &arqPeer{
-			sends: make(map[uint32]*xmit),
-			recvs: make(map[uint32]*recvState),
+			nextXfer: rand.Uint32(),
+			sends:    make(map[uint32]*xmit),
+			recvs:    make(map[uint32]*recvState),
 		}
 		a.peers[key] = p
 	}
@@ -475,7 +520,7 @@ func (a *arq) handleRel(peerKey string, addr *net.UDPAddr, body []byte, deliver 
 			a.mu.Unlock()
 			return
 		}
-		r = &recvState{total: total, got: make([]bool, total), delay: a.cfg.AckDelay}
+		r = &recvState{total: total, got: make([]bool, total), claimed: make([]bool, total), delay: a.cfg.AckDelay}
 		p.recvs[xfer] = r
 	}
 	if r.total != total || int(seq) >= len(r.got) {
@@ -493,6 +538,14 @@ func (a *arq) handleRel(peerKey string, addr *net.UDPAddr, body []byte, deliver 
 		a.sendAck(to, ack)
 		return
 	}
+	if r.claimed[seq] {
+		// A copy of this segment is being delivered right now; the ack
+		// follows that delivery.
+		a.stats.DupSegments++
+		a.mu.Unlock()
+		return
+	}
+	r.claimed[seq] = true
 	a.mu.Unlock()
 
 	// Delivery happens outside the lock (the server handler may send —
@@ -514,6 +567,7 @@ func (a *arq) handleRel(peerKey string, addr *net.UDPAddr, body []byte, deliver 
 		a.mu.Unlock()
 		return
 	}
+	r.claimed[seq] = false
 	if !accepted {
 		// The upper layer shed the message (queue full): pretend the
 		// segment was lost so the retransmit redelivers it. Arm the gap

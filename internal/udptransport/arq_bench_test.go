@@ -36,10 +36,7 @@ func BenchmarkLossyConfigFetch(b *testing.B) {
 		b.Run(fmt.Sprintf("loss=%.0f%%", loss*100), func(b *testing.B) {
 			ep := &fakeEndpoint{caPub: pub, blob: blob}
 			tr := NewTransport("127.0.0.1:0")
-			tr.SetRetransmit(benchARQCfg())
-			if loss > 0 {
-				tr.SetLossProfile(core.LossProfile{Drop: loss, Seed: 42})
-			}
+			tr.Configure(0, benchARQCfg(), core.LossProfile{Drop: loss, Seed: 42})
 			if err := tr.BindServer(ep); err != nil {
 				b.Fatal(err)
 			}

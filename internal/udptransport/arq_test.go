@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -499,5 +500,119 @@ func TestARQSendValidation(t *testing.T) {
 	}
 	if _, err := a.send("p", nil, [][]byte{make([]byte, maxRelInner+1)}); err == nil {
 		t.Error("oversized segment accepted")
+	}
+}
+
+// TestARQCorruptionBehavesLikeLoss flips, in turn, every byte of a
+// segment's first transmission and of the receiver's first ack. The
+// checksum must turn each flip into a plain loss: the transfer still
+// completes, and its segment is delivered exactly once.
+func TestARQCorruptionBehavesLikeLoss(t *testing.T) {
+	inner := []byte("flip-me")
+	for _, tc := range []struct {
+		name   string
+		length int  // datagram length: every byte index is flipped once
+		ack    bool // corrupt the receiver's ack instead of the segment
+	}{
+		{"segment", len(encodeRel(1, 0, 1, inner)), false},
+		{"ack", 1 + ackBodyLen, true},
+	} {
+		for i := 0; i < tc.length; i++ {
+			t.Run(fmt.Sprintf("%s/byte=%d", tc.name, i), func(t *testing.T) {
+				var sent atomic.Int32
+				flipFirst := func(d []byte, tx func([]byte) error) error {
+					if sent.Add(1) != 1 {
+						return tx(d)
+					}
+					c := append([]byte(nil), d...)
+					c[i] ^= 0xFF
+					return tx(c)
+				}
+				var aFilter, bFilter SendFilter = flipFirst, nil
+				if tc.ack {
+					aFilter, bFilter = nil, flipFirst
+				}
+				var delivered atomic.Int32
+				pair := newARQPair(fastARQ(), aFilter, bFilter,
+					func([]byte) bool { return true },
+					func(got []byte) bool {
+						if bytes.Equal(got, inner) {
+							delivered.Add(1)
+						}
+						return true
+					})
+				defer pair.close()
+				x, err := pair.a.send("peer", nil, [][]byte{inner})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := waitFor(func() bool {
+					s, _ := pair.a.active()
+					return s == 0
+				}); err != nil {
+					t.Fatalf("transfer never completed: %v", err)
+				}
+				select {
+				case err := <-x.failed:
+					t.Fatalf("transfer failed: %v", err)
+				default:
+				}
+				if n := delivered.Load(); n != 1 {
+					t.Errorf("segment delivered %d times, want exactly once", n)
+				}
+			})
+		}
+	}
+}
+
+// TestARQPortReuseFreshTransferIDs runs two successive client ARQs
+// against one server peer key — a new link inheriting the ephemeral port
+// of a closed one. The second link's first request must be delivered,
+// not re-acked as a duplicate of the first link's transfer.
+func TestARQPortReuseFreshTransferIDs(t *testing.T) {
+	var mu sync.Mutex
+	var client *arq
+	var delivered []string
+	server := newARQ(fastARQ(), func(_ *net.UDPAddr, d []byte) error {
+		mu.Lock()
+		c := client
+		mu.Unlock()
+		if d[0] == MsgAck {
+			c.handleAck("", d[1:])
+		}
+		return nil
+	}, nil)
+	defer server.close()
+	for link := 0; link < 2; link++ {
+		c := newARQ(fastARQ(), func(_ *net.UDPAddr, d []byte) error {
+			server.handleRel("127.0.0.1:40000", nil, d[1:], func(inner []byte) bool {
+				mu.Lock()
+				delivered = append(delivered, string(inner))
+				mu.Unlock()
+				return true
+			})
+			return nil
+		}, nil)
+		mu.Lock()
+		client = c
+		mu.Unlock()
+		if _, err := c.send("", nil, [][]byte{[]byte(fmt.Sprintf("hello from link %d", link))}); err != nil {
+			t.Fatal(err)
+		}
+		if err := waitFor(func() bool {
+			s, _ := c.active()
+			return s == 0
+		}); err != nil {
+			t.Fatalf("link %d: transfer never completed: %v", link, err)
+		}
+		c.close()
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(delivered) != 2 || delivered[0] == delivered[1] {
+		t.Fatalf("server delivered %q, want one request from each link", delivered)
+	}
+	if st := server.snapshot(); st.DupSegments != 0 {
+		t.Errorf("server counted %d duplicate segments across links, want 0", st.DupSegments)
 	}
 }

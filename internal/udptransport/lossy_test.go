@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"endbox/internal/core"
 	"endbox/internal/netsim"
 	"endbox/internal/vpn"
 )
@@ -45,7 +46,7 @@ func fiveChunkBlob() []byte {
 func startLossyTransport(t *testing.T, ep *fakeEndpoint, filter SendFilter) *Transport {
 	t.Helper()
 	tr := NewTransport("127.0.0.1:0")
-	tr.SetRetransmit(lossyCfg())
+	tr.Configure(0, lossyCfg(), core.LossProfile{})
 	tr.SetSendFilter(filter)
 	if err := tr.BindServer(ep); err != nil {
 		t.Fatal(err)
@@ -226,7 +227,7 @@ func TestLossyDisabledARQCleanWire(t *testing.T) {
 	blob := fiveChunkBlob()
 	ep := &fakeEndpoint{caPub: pub, blob: blob}
 	tr := NewTransport("127.0.0.1:0")
-	tr.SetRetransmit(RetransmitConfig{Disable: true})
+	tr.Configure(0, RetransmitConfig{Disable: true}, core.LossProfile{})
 	if err := tr.BindServer(ep); err != nil {
 		t.Fatal(err)
 	}

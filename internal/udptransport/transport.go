@@ -63,12 +63,10 @@ func serverError(body []byte) error {
 // filter: impairment, like reliability, is a control-path concern here.
 type SendFilter func(datagram []byte, transmit func([]byte) error) error
 
-// ShedCounter is optionally implemented by server endpoints that want
-// per-client accounting of frames shed by ingress overload protection
-// (core.Deployment records them in the client's VIF statistics).
-type ShedCounter interface {
-	FrameShed(clientID string)
-}
+var (
+	_ core.Transport  = (*Transport)(nil)
+	_ core.ClientLink = (*Link)(nil)
+)
 
 // Transport implements core.Transport over real UDP sockets: the server
 // side binds one datagram socket and dispatches control messages into the
@@ -78,7 +76,7 @@ type ShedCounter interface {
 // around this type.
 //
 // Control and configuration messages ride the selective-repeat ARQ layer
-// (arq.go) unless disabled via SetRetransmit: requests arrive wrapped in
+// (arq.go) unless disabled via Configure: requests arrive wrapped in
 // MsgRel envelopes, responses — including multi-chunk configuration
 // fetches — are pushed back as reliable transfers that are retransmitted
 // until acknowledged. Unwrapped (legacy) control messages are still
@@ -98,9 +96,12 @@ type Transport struct {
 	workers    int             // ingress pool width; 0 = handle frames inline
 	pool       *dataplane.Pool // set by BindServer when workers > 0
 	retransmit RetransmitConfig
-	filter     SendFilter
-	faults     *netsim.Faults // set by SetLossProfile; nil otherwise
-	arq        *arq           // nil when RetransmitConfig.Disable is set
+	filter     SendFilter // server->client control sends
+	linkFilter SendFilter // client->server control sends of every Link
+	// faults impair the two directions with independent seeded sequences
+	// (server->client, client->server); nil without a loss profile.
+	faults [2]*netsim.Faults
+	arq    *arq // nil when RetransmitConfig.Disable is set
 }
 
 // NewTransport creates a UDP transport that will listen on the given
@@ -120,16 +121,40 @@ func (t *Transport) logf(format string, args ...any) {
 	}
 }
 
-// SetWorkers implements core.WorkerTransport: pipeline the server's frame
-// ingress across n workers. Frames from one client stay pinned to one
-// worker (placement by the dataplane hash), preserving per-client
-// ordering; control messages keep running on the serve goroutine, whose
-// request/response pattern needs no pipelining. Must be called before
+// Configure implements core.Transport; it must be called before
 // BindServer.
-func (t *Transport) SetWorkers(n int) {
+//
+// workers pipelines the server's frame ingress across a worker pool.
+// Frames from one client stay pinned to one worker (placement by the
+// dataplane hash), preserving per-client ordering; control messages keep
+// running on the serve goroutine, whose request/response pattern needs no
+// pipelining. 0 handles frames inline.
+//
+// retransmit tunes (or, with RetransmitConfig.Disable, turns off) the
+// control-path ARQ layer. Client links opened through Link inherit it, so
+// both directions of a deployment share one tuning.
+//
+// loss applies deterministic seeded impairment (netsim.Faults) to every
+// control-path datagram the server and its links send. Each direction
+// draws from its own fault sequence (seeds loss.Seed and loss.Seed+1), so
+// which datagram is hit does not depend on how the two directions
+// interleave. A zero profile impairs nothing.
+func (t *Transport) Configure(workers int, retransmit RetransmitConfig, loss core.LossProfile) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.workers = n
+	t.workers = workers
+	t.retransmit = retransmit
+	t.faults = [2]*netsim.Faults{}
+	t.filter, t.linkFilter = nil, nil
+	if loss.Zero() {
+		return
+	}
+	for i := range t.faults {
+		f := netsim.NewFaults(loss.Seed+int64(i), loss.Drop, loss.Duplicate, loss.Reorder)
+		f.SetCorruptEvery(loss.CorruptEvery)
+		t.faults[i] = f
+	}
+	t.filter, t.linkFilter = t.faults[0].Filter, t.faults[1].Filter
 }
 
 // Workers reports the configured ingress pool width.
@@ -139,56 +164,37 @@ func (t *Transport) Workers() int {
 	return t.workers
 }
 
-// SetRetransmit implements core.ReliableTransport: tune (or, with
-// RetransmitConfig.Disable, turn off) the control-path ARQ layer. Must be
-// called before BindServer. Client links opened through Link inherit the
-// configuration, so both directions of a deployment share one tuning.
-func (t *Transport) SetRetransmit(cfg RetransmitConfig) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.retransmit = cfg
-}
-
-// SetLossProfile implements core.LossyTransport: apply deterministic
-// seeded impairment (netsim.Faults) to every control-path datagram this
-// transport and the client links it creates send. Must be called before
-// BindServer; a zero profile removes the filter.
-func (t *Transport) SetLossProfile(p core.LossProfile) {
-	if p.Zero() {
-		t.mu.Lock()
-		t.faults = nil
-		t.mu.Unlock()
-		t.SetSendFilter(nil)
-		return
-	}
-	f := netsim.NewFaults(p.Seed, p.Drop, p.Duplicate, p.Reorder)
-	f.SetCorruptEvery(p.CorruptEvery)
-	t.mu.Lock()
-	t.faults = f
-	t.mu.Unlock()
-	t.SetSendFilter(f.Filter)
-}
-
 // FaultStats reports the injected-impairment counters of the loss profile
-// installed by SetLossProfile (zero value when none is installed) — how
-// many control-path datagrams were genuinely dropped, duplicated,
-// reordered or corrupted during a chaos run.
+// installed by Configure, summed over both directions (zero value when
+// none is installed) — how many control-path datagrams were genuinely
+// dropped, duplicated, reordered or corrupted during a chaos run.
 func (t *Transport) FaultStats() netsim.FaultStats {
 	t.mu.Lock()
-	f := t.faults
+	faults := t.faults
 	t.mu.Unlock()
-	if f == nil {
-		return netsim.FaultStats{}
+	var sum netsim.FaultStats
+	for _, f := range faults {
+		if f == nil {
+			continue
+		}
+		st := f.Stats()
+		sum.Offered += st.Offered
+		sum.Dropped += st.Dropped
+		sum.Duplicated += st.Duplicated
+		sum.Reordered += st.Reordered
+		sum.Corrupted += st.Corrupted
 	}
-	return f.Stats()
+	return sum
 }
 
-// SetSendFilter installs a raw control-path send filter (the seam behind
-// SetLossProfile). Must be called before BindServer.
+// SetSendFilter installs a raw control-path send filter on the server's
+// sends and on those of every link opened through Link afterwards (the
+// seam behind Configure's loss profile). Must be called before
+// BindServer.
 func (t *Transport) SetSendFilter(f SendFilter) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.filter = f
+	t.filter, t.linkFilter = f, f
 }
 
 // ARQStats reports the server-side reliability counters (zero value when
@@ -269,12 +275,9 @@ func (t *Transport) BindServer(ep core.ServerEndpoint) error {
 		// Overload shedding: data frames are shed drop-newest once a
 		// worker queue passes the watermark, so a flood costs throughput
 		// instead of collapsing latency for everyone behind the queue.
-		// Per-client shed counts land in the VIF statistics when the
-		// endpoint can record them.
+		// Per-client shed counts land in the VIF statistics.
 		t.pool.SetWatermark(dataplane.DefaultWatermark)
-		if sc, ok := ep.(ShedCounter); ok {
-			t.pool.SetOnShed(sc.FrameShed)
-		}
+		t.pool.SetOnShed(ep.FrameShed)
 	}
 	t.mu.Unlock()
 	go t.serve(conn, ep)
@@ -516,12 +519,12 @@ func (t *Transport) SendToClient(clientID string, frame []byte) error {
 // Link implements core.Transport: dial a fresh client socket to this
 // transport's server. The clientID is informational — the server learns it
 // from the handshake. The link inherits the transport's retransmit tuning
-// and send filter, so a deployment configured with WithRetransmit or
-// WithLossProfile applies them to both directions.
+// and client-direction send filter, so a deployment configured with
+// WithRetransmit or WithLossProfile applies them to both directions.
 func (t *Transport) Link(ctx context.Context, clientID string) (core.ClientLink, error) {
 	t.mu.Lock()
 	cfg := t.retransmit
-	filter := t.filter
+	filter := t.linkFilter
 	t.mu.Unlock()
 	return Dial(ctx, t.Addr(), LinkRetransmit(cfg), LinkSendFilter(filter))
 }
@@ -854,7 +857,7 @@ func (l *Link) Hello(ctx context.Context, h *vpn.ClientHello) (*vpn.ServerHello,
 	return &sh, nil
 }
 
-// Resume implements core.ResumeLink: the MsgResume round trip.
+// Resume implements core.ClientLink: the MsgResume round trip.
 func (l *Link) Resume(ctx context.Context, r *vpn.ResumeRequest) (*vpn.ResumeReply, error) {
 	msg, err := EncodeJSON(MsgResume, r)
 	if err != nil {
@@ -945,7 +948,7 @@ func (l *Link) SendFrame(frame []byte) error {
 	return err
 }
 
-// SendControlFrame implements core.ControlLink: send one sealed frame in
+// SendControlFrame implements core.ClientLink: send one sealed frame in
 // the control delivery class (MsgControl). The server submits it to its
 // ingress pool past the shedding watermark, so keepalive pings, nacks and
 // health reports keep arriving while a flood is shedding data frames.
@@ -959,29 +962,11 @@ func (l *Link) SendControlFrame(frame []byte) error {
 // boundary in one ecall).
 const maxDeliverBatch = 32
 
-// SetDeliver implements core.ClientLink: install the per-frame handler for
-// pushed server->client frames and start the dispatch loop.
-func (l *Link) SetDeliver(fn func(frame []byte) error) {
-	l.setDeliver(func(frames [][]byte) error {
-		var firstErr error
-		for _, f := range frames {
-			if err := fn(f); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	})
-}
-
-// SetDeliverBatch implements core.BatchClientLink: bursts of frames that
-// queued while the handler was busy are handed over together, so the
+// SetDeliver implements core.ClientLink: install the burst handler for
+// pushed server->client frames and start the dispatch loop once. Frames
+// that queued while the handler was busy are handed over together, so the
 // receiving client can open them in a single enclave crossing.
-func (l *Link) SetDeliverBatch(fn func(frames [][]byte) error) {
-	l.setDeliver(fn)
-}
-
-// setDeliver installs the burst handler and starts the dispatch loop once.
-func (l *Link) setDeliver(fn func(frames [][]byte) error) {
+func (l *Link) SetDeliver(fn func(frames [][]byte) error) {
 	l.mu.Lock()
 	l.deliverFn = fn
 	start := !l.dispatch

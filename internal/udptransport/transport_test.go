@@ -53,6 +53,8 @@ func (f *fakeEndpoint) HandleFrame(clientID string, frame []byte) error {
 	return nil
 }
 
+func (f *fakeEndpoint) FrameShed(string) {}
+
 func (f *fakeEndpoint) FetchConfig(version uint64) ([]byte, error) {
 	if version == 404 {
 		return nil, fmt.Errorf("no such version")
@@ -144,8 +146,10 @@ func TestTransportFramesAfterHello(t *testing.T) {
 
 	// Server -> client push.
 	inbound := make(chan []byte, 1)
-	link.SetDeliver(func(frame []byte) error {
-		inbound <- append([]byte(nil), frame...)
+	link.SetDeliver(func(frames [][]byte) error {
+		for _, frame := range frames {
+			inbound <- append([]byte(nil), frame...)
+		}
 		return nil
 	})
 	if err := waitFor(func() bool {
@@ -255,7 +259,7 @@ func TestWorkerPoolIngress(t *testing.T) {
 	}
 	ep := &retainingEndpoint{fakeEndpoint: fakeEndpoint{caPub: pub}}
 	tr := NewTransport("127.0.0.1:0")
-	tr.SetWorkers(4)
+	tr.Configure(4, RetransmitConfig{}, core.LossProfile{})
 	if err := tr.BindServer(ep); err != nil {
 		t.Fatal(err)
 	}

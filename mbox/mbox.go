@@ -141,8 +141,8 @@ type FlowStats = flow.Stats
 type FailurePolicy = click.FailurePolicy
 
 // ElementFault is a containment event: an element panicked, and possibly
-// tripped (or re-armed) its quarantine. Delivered through the Observer's
-// OnElementFault hook.
+// tripped (or re-armed) its quarantine. Delivered through
+// endbox.ObserverFuncs.OnFault.
 type ElementFault = click.ElementFault
 
 // Containment defaults: three strikes, thirty seconds quarantined.

@@ -43,17 +43,16 @@ func Chain(stages ...Stage) Pipeline { return click.Chain(stages...) }
 func Raw(config string) Pipeline { return click.Raw(config) }
 
 // Stock returns the pipeline reproducing one of the paper's five
-// evaluation middlebox functions — each compiles to exactly
-// endbox.StandardConfig of the same use case. Unknown use cases return
-// the zero Pipeline.
+// evaluation middlebox functions (§V-B). Unknown use cases return the
+// zero Pipeline.
 func Stock(u UseCase) Pipeline { return click.StockPipeline(u) }
 
 // Compile emits and fully validates a pipeline against the process
 // registry, with the given rule sets resolvable by IDS stages. It returns
 // the Click configuration text (for endbox.Update.ClickConfig or
 // inspection); errors wrap ErrBadPipeline. AddClient and Rollout run this
-// implicitly — call it directly to validate early or to feed the legacy
-// string-based surfaces.
+// implicitly — call it directly to validate early or to feed the
+// string-based surfaces (Update.ClickConfig).
 func Compile(p Pipeline, ruleSets map[string]string) (string, error) {
 	return p.Compile(nil, ruleSets)
 }

@@ -162,7 +162,7 @@ func TestRolloutTargeted(t *testing.T) {
 	add := func(id, ring string) *Client {
 		cli, err := d.AddClient(ctx, id, ClientSpec{
 			Mode:     ModeSimulation,
-			Pipeline: mbox.Stock(UseCaseNOP),
+			Pipeline: mbox.Stock(mbox.UseCaseNOP),
 			Labels:   map[string]string{"ring": ring},
 		})
 		if err != nil {
@@ -219,7 +219,7 @@ func TestRolloutTargeted(t *testing.T) {
 	if _, err := d.Rollout(ctx, Rollout{
 		Version:      2,
 		GraceSeconds: 60,
-		Pipeline:     mbox.Stock(UseCaseFW),
+		Pipeline:     mbox.Stock(mbox.UseCaseFW),
 		RuleSets:     CommunityRuleSets(),
 	}); err != nil {
 		t.Fatal(err)
@@ -240,11 +240,11 @@ func TestRolloutByID(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	a, err := d.AddClient(ctx, "a", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+	a, err := d.AddClient(ctx, "a", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseNOP)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := d.AddClient(ctx, "b", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+	b, err := d.AddClient(ctx, "b", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseNOP)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestRolloutByID(t *testing.T) {
 	if _, err := d.Rollout(ctx, Rollout{
 		Version:      1,
 		GraceSeconds: 60,
-		Pipeline:     mbox.Stock(UseCaseFW),
+		Pipeline:     mbox.Stock(mbox.UseCaseFW),
 		RuleSets:     CommunityRuleSets(),
 		Target:       Selector{IDs: []string{"a"}},
 	}); err != nil {
@@ -290,9 +290,10 @@ func TestAddClientBadPipeline(t *testing.T) {
 
 	for name, spec := range map[string]ClientSpec{
 		"empty spec":       {Mode: ModeSimulation},
-		"unknown use case": {Mode: ModeSimulation, UseCase: UseCase(99)},
-		"bad click config": {Mode: ModeSimulation, ClickConfig: "FromDevice -> -> ToDevice;"},
-		"unknown class":    {Mode: ModeSimulation, ClickConfig: "FromDevice -> Frobnicator -> ToDevice;"},
+		"unknown use case": {Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCase(99))},
+		"empty raw config": {Mode: ModeSimulation, Pipeline: mbox.Raw(" ")},
+		"bad click config": {Mode: ModeSimulation, Pipeline: mbox.Raw("FromDevice -> -> ToDevice;")},
+		"unknown class":    {Mode: ModeSimulation, Pipeline: mbox.Raw("FromDevice -> Frobnicator -> ToDevice;")},
 		"bad element args": {Mode: ModeSimulation, Pipeline: mbox.Chain(mbox.Firewall("frobnicate all"))},
 		"unknown rule set": {Mode: ModeSimulation, Pipeline: mbox.Chain(mbox.IDS("no-such-set"))},
 	} {
@@ -301,23 +302,24 @@ func TestAddClientBadPipeline(t *testing.T) {
 		}
 	}
 	// The IDs must be reusable after the typed failures.
-	if _, err := d.AddClient(ctx, "bad-empty spec", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP}); err != nil {
+	if _, err := d.AddClient(ctx, "bad-empty spec", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseNOP)}); err != nil {
 		t.Errorf("ID not reusable after failed validation: %v", err)
 	}
 }
 
-// TestStockPipelineFacadeParity proves each stock mbox pipeline compiles
-// to exactly the legacy StandardConfig string for all five use cases —
-// the contract that makes UseCase/StandardConfig safe deprecated shims.
+// TestStockPipelineFacadeParity proves each stock mbox pipeline validates
+// against the community rule set and compiles to exactly the text it
+// emits unvalidated (what Update.ClickConfig carries) for all five use
+// cases.
 func TestStockPipelineFacadeParity(t *testing.T) {
 	rules := CommunityRuleSets()
-	for _, uc := range []UseCase{UseCaseNOP, UseCaseLB, UseCaseFW, UseCaseIDPS, UseCaseDDoS} {
+	for _, uc := range []mbox.UseCase{mbox.UseCaseNOP, mbox.UseCaseLB, mbox.UseCaseFW, mbox.UseCaseIDPS, mbox.UseCaseDDoS} {
 		cfg, err := mbox.Compile(mbox.Stock(uc), rules)
 		if err != nil {
 			t.Fatalf("Stock(%v): %v", uc, err)
 		}
-		if want := StandardConfig(uc); cfg != want {
-			t.Errorf("Stock(%v) = %q, StandardConfig = %q", uc, cfg, want)
+		if want := stockConfig(uc); cfg != want {
+			t.Errorf("Compile(Stock(%v)) = %q, Config = %q", uc, cfg, want)
 		}
 	}
 }
@@ -351,7 +353,7 @@ func TestConcurrentRegisterAndHotSwap(t *testing.T) {
 	clients := make([]*Client, 3)
 	for i := range clients {
 		cli, err := d.AddClient(ctx, fmt.Sprintf("swap-%d", i), ClientSpec{
-			Mode: ModeSimulation, Pipeline: mbox.Stock(UseCaseNOP),
+			Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseNOP),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -435,7 +437,7 @@ func TestBootFetchIgnoresTargetedVersions(t *testing.T) {
 	}
 	defer d.Close()
 	if _, err := d.AddClient(ctx, "canary", ClientSpec{
-		Mode: ModeSimulation, UseCase: UseCaseNOP,
+		Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseNOP),
 		Labels: map[string]string{"ring": "canary"},
 	}); err != nil {
 		t.Fatal(err)
@@ -443,13 +445,13 @@ func TestBootFetchIgnoresTargetedVersions(t *testing.T) {
 
 	if _, err := d.Rollout(ctx, Rollout{
 		Version: 1, GraceSeconds: 60,
-		Pipeline: mbox.Stock(UseCaseNOP), RuleSets: CommunityRuleSets(),
+		Pipeline: mbox.Stock(mbox.UseCaseNOP), RuleSets: CommunityRuleSets(),
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Rollout(ctx, Rollout{
 		Version: 2, GraceSeconds: 60,
-		Pipeline: mbox.Stock(UseCaseFW), RuleSets: CommunityRuleSets(),
+		Pipeline: mbox.Stock(mbox.UseCaseFW), RuleSets: CommunityRuleSets(),
 		Target: Selector{Labels: map[string]string{"ring": "canary"}},
 	}); err != nil {
 		t.Fatal(err)
@@ -484,7 +486,7 @@ func TestKeepaliveReannouncesTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	cli, err := d.AddClient(ctx, "missed", ClientSpec{Mode: ModeSimulation, UseCase: UseCaseNOP})
+	cli, err := d.AddClient(ctx, "missed", ClientSpec{Mode: ModeSimulation, Pipeline: mbox.Stock(mbox.UseCaseNOP)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +495,7 @@ func TestKeepaliveReannouncesTarget(t *testing.T) {
 	// ping reaching the client — the "lost announcement" state.
 	u := &Update{
 		Version: 1, GraceSeconds: 60,
-		ClickConfig: StandardConfig(UseCaseFW), RuleSets: CommunityRuleSets(),
+		ClickConfig: stockConfig(mbox.UseCaseFW), RuleSets: CommunityRuleSets(),
 	}
 	blob, err := config.Seal(u, d.CA.SignConfig, nil)
 	if err != nil {

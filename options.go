@@ -2,6 +2,8 @@ package endbox
 
 import (
 	"time"
+
+	"endbox/mbox"
 )
 
 // Option configures a Deployment built with New. Options layer over the
@@ -24,7 +26,7 @@ func WithEncryptedConfigs() Option {
 
 // WithServerUseCase attaches a server-side Click pipeline running the
 // given use case — the OpenVPN+Click baseline the paper compares against.
-func WithServerUseCase(u UseCase) Option {
+func WithServerUseCase(u mbox.UseCase) Option {
 	return func(o *DeploymentOptions) { o.ServerUseCase = u }
 }
 
@@ -34,16 +36,55 @@ func WithClock(now func() time.Time) Option {
 	return func(o *DeploymentOptions) { o.Clock = now }
 }
 
-// WithObserver installs the deployment's data-path observer. Repeated use
-// composes: all observers receive every event.
-func WithObserver(obs Observer) Option {
+// WithObserver installs the deployment's observer. Repeated use composes:
+// every installed callback receives its event, in installation order.
+func WithObserver(obs ObserverFuncs) Option {
 	return func(o *DeploymentOptions) {
-		if o.Observer != nil {
-			o.Observer = MultiObserver(o.Observer, obs)
-			return
+		prev := o.Observer
+		o.Observer = ObserverFuncs{
+			OnDelivered:   join2(prev.OnDelivered, obs.OnDelivered),
+			OnReceived:    join2(prev.OnReceived, obs.OnReceived),
+			OnAlert:       join2(prev.OnAlert, obs.OnAlert),
+			OnEvicted:     join1(prev.OnEvicted, obs.OnEvicted),
+			OnResumed:     join1(prev.OnResumed, obs.OnResumed),
+			OnRefused:     join2(prev.OnRefused, obs.OnRefused),
+			OnRevoked:     join2(prev.OnRevoked, obs.OnRevoked),
+			OnFault:       join2(prev.OnFault, obs.OnFault),
+			OnUpdateError: join3(prev.OnUpdateError, obs.OnUpdateError),
 		}
-		o.Observer = obs
 	}
+}
+
+// join1, join2 and join3 chain two optional callbacks. A nil half drops
+// out, so an event nobody observes stays a nil check on its hot path.
+func join1[A any](f, g func(A)) func(A) {
+	switch {
+	case f == nil:
+		return g
+	case g == nil:
+		return f
+	}
+	return func(a A) { f(a); g(a) }
+}
+
+func join2[A, B any](f, g func(A, B)) func(A, B) {
+	switch {
+	case f == nil:
+		return g
+	case g == nil:
+		return f
+	}
+	return func(a A, b B) { f(a, b); g(a, b) }
+}
+
+func join3[A, B, C any](f, g func(A, B, C)) func(A, B, C) {
+	switch {
+	case f == nil:
+		return g
+	case g == nil:
+		return f
+	}
+	return func(a A, b B, c C) { f(a, b, c); g(a, b, c) }
 }
 
 // WithTransport selects the transport carrying frames between the server
@@ -63,17 +104,15 @@ func WithShards(n int) Option {
 }
 
 // WithUDPWorkers pipelines the UDP server's datagram ingress across n
-// workers when the deployment's transport supports it (the in-process
-// transport ignores it). Each client is pinned to one worker by the same
+// workers (the in-process transport ignores it). Each client is pinned to one worker by the same
 // hash that places it in a table shard, preserving per-client frame
 // ordering while different clients' frames proceed in parallel.
 func WithUDPWorkers(n int) Option {
 	return func(o *DeploymentOptions) { o.UDPWorkers = n }
 }
 
-// WithRetransmit tunes the control-path ARQ layer of transports that
-// support reliable delivery (the UDP transport; the in-process transport
-// cannot lose messages and ignores it). The ARQ layer is on by default
+// WithRetransmit tunes the control-path ARQ layer of the UDP transport
+// (the in-process transport cannot lose messages and ignores it). The ARQ layer is on by default
 // with sensible timers — use this option to tighten them for tests, widen
 // them for high-latency links, or disable the layer entirely
 // (RetransmitConfig{Disable: true}) to reproduce the fire-and-forget
@@ -85,8 +124,9 @@ func WithRetransmit(cfg RetransmitConfig) Option {
 }
 
 // WithLossProfile injects deterministic, seeded impairment — drops,
-// duplicates, reorders — into every control-path datagram a supporting
-// transport sends, in both directions. It exists so loss-tolerance tests
+// duplicates, reorders, bit flips — into every control-path datagram the
+// UDP transport sends, in both directions, each direction with its own
+// seeded fault sequence. It exists so loss-tolerance tests
 // are reproducible: the same seed impairs the same datagrams every run,
 // and the ARQ layer (WithRetransmit) must recover. A zero profile impairs
 // nothing. Data frames bypass the profile along with the ARQ layer.
@@ -174,7 +214,7 @@ func WithoutContainment() Option {
 // resolved against the registry, and Policy.Revoke (or
 // Deployment.RevokeBuild) propagates live — new handshakes and resumes
 // from the revoked build are refused before any crypto, and its live
-// sessions are evicted (RevocationObserver.SessionRevoked fires).
+// sessions are evicted (ObserverFuncs.OnRevoked fires).
 func WithPolicy(p *Policy) Option {
 	return func(o *DeploymentOptions) { o.Policy = p }
 }
