@@ -132,7 +132,6 @@ func run() error {
 		timeout     = flag.Duration("timeout", 30*time.Second, "attestation/handshake deadline")
 		arqTimeout  = flag.Duration("arq-timeout", 200*time.Millisecond, "initial control-path retransmit timeout")
 		arqRetries  = flag.Int("arq-retries", 5, "control-path retransmit budget per transfer")
-		arqOff      = flag.Bool("arq-off", false, "disable the control-path ARQ layer (fire-and-forget)")
 		lossDrop    = flag.Float64("loss", 0, "simulated control-path drop probability [0,1] (demo/testing)")
 		lossDup     = flag.Float64("loss-dup", 0, "simulated duplicate probability [0,1]")
 		lossReorder = flag.Float64("loss-reorder", 0, "simulated reorder probability [0,1]")
@@ -152,7 +151,6 @@ func run() error {
 		udptransport.LinkRetransmit(udptransport.RetransmitConfig{
 			Timeout:    *arqTimeout,
 			MaxRetries: *arqRetries,
-			Disable:    *arqOff,
 		}),
 	}
 	if *lossDrop > 0 || *lossDup > 0 || *lossReorder > 0 {

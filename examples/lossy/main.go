@@ -2,7 +2,7 @@
 // sockets with deterministic simulated impairment — 15% of control-path
 // datagrams dropped, some duplicated, some reordered — and still
 // attests its client, hands out the boot configuration, and completes a
-// live multi-chunk configuration rollout: the transport's selective-repeat
+// live multi-segment configuration rollout: the transport's selective-repeat
 // ARQ layer retransmits exactly what the network sheds
 // (docs/PROTOCOL.md §5).
 //
@@ -76,9 +76,9 @@ func run() error {
 	}
 	fmt.Println("tunnelled packet delivered")
 
-	// A rule-set update big enough to span many configuration chunks
-	// (~330 kB -> six 60 kB chunks): before the ARQ layer, ONE lost
-	// chunk failed the whole fetch after a 5s timeout.
+	// A rule-set update big enough to span several ARQ segments
+	// (~480 kB -> eight 64 kB segments): the fetch completes as long as
+	// each segment eventually gets through, however many are lost.
 	if _, err := deployment.Rollout(ctx, endbox.Rollout{
 		Version:      2,
 		GraceSeconds: 60,
@@ -91,8 +91,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	chunks := (len(blob) + udptransport.ChunkPayload - 1) / udptransport.ChunkPayload
-	fmt.Printf("published v2: %d-byte sealed blob = %d chunks over the lossy wire\n", len(blob), chunks)
+	// The MsgConfig response is the type byte plus the blob.
+	segments := len(blob)/udptransport.SegmentPayload + 1
+	fmt.Printf("published v2: %d-byte sealed blob = %d segments over the lossy wire\n", len(blob), segments)
 
 	deadline := time.Now().Add(45 * time.Second)
 	for client.AppliedVersion() != 2 {
@@ -109,6 +110,5 @@ func run() error {
 	st := transport.ARQStats()
 	fmt.Printf("server ARQ: %d transfers, %d segments sent, %d retransmitted (%d fast), %d acks, %d duplicate segments absorbed\n",
 		st.TransfersSent, st.SegmentsSent, st.Retransmits+st.FastRetransmit, st.FastRetransmit, st.AcksSent, st.DupSegments)
-	fmt.Println("rerun with RetransmitConfig{Disable: true} to watch the same rollout fail")
 	return nil
 }

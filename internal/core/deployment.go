@@ -64,9 +64,7 @@ type DeploymentOptions struct {
 	UDPWorkers int
 	// Retransmit tunes the control-path ARQ layer of the UDP transport
 	// (the in-process transport cannot lose messages and ignores it). The
-	// zero value keeps the defaults with the ARQ layer on;
-	// RetransmitConfig.Disable opts out. Data frames are never
-	// retransmitted.
+	// zero value keeps the defaults. Data frames are never retransmitted.
 	Retransmit RetransmitConfig
 	// LossProfile injects deterministic, seeded control-path impairment
 	// (drop/duplicate/reorder/corrupt) into the UDP transport — the

@@ -83,12 +83,11 @@ type ClientLink interface {
 }
 
 // RetransmitConfig tunes the control-path ARQ layer of transports that
-// support reliable delivery over a lossy datagram network (see
+// deliver control messages reliably over a lossy datagram network (see
 // Transport.Configure and docs/PROTOCOL.md). The zero value selects the
-// defaults with the ARQ layer enabled; set Disable to fall back to
-// fire-and-forget control messages. Data-channel frames are never
-// retransmitted — reliability applies to the control/configuration path
-// only, so the zero-allocation data path is untouched.
+// defaults. Data-channel frames are never retransmitted — reliability
+// applies to the control/configuration path only, so the zero-allocation
+// data path is untouched.
 type RetransmitConfig struct {
 	// Timeout is the initial retransmit timeout (RTO) armed when a
 	// transfer's first segments go out (default 200ms).
@@ -101,7 +100,7 @@ type RetransmitConfig struct {
 	MaxRetries int
 	// AckDelay is the receiver's gap-probe delay: how long an incomplete
 	// transfer waits for more segments before re-advertising its holes,
-	// asking the sender for exactly the missing chunks (default 50ms).
+	// asking the sender for exactly the missing segments (default 50ms).
 	AckDelay time.Duration
 	// Window bounds how many unacknowledged segments a transfer keeps in
 	// flight (default 32; clamped to 32, the selective-ack bitmap width —
@@ -109,10 +108,6 @@ type RetransmitConfig struct {
 	// selectively report, silently degrading recovery to full-window
 	// timeout retransmits).
 	Window int
-	// Disable turns the ARQ layer off: control messages and configuration
-	// chunks are sent fire-and-forget as before, and a lost chunk fails
-	// the whole fetch.
-	Disable bool
 }
 
 // WithDefaults fills unset fields with the default ARQ tuning.

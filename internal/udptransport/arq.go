@@ -2,20 +2,23 @@ package udptransport
 
 // arq.go implements the selective-repeat ARQ layer that makes the
 // control/configuration path survive a lossy network (docs/PROTOCOL.md §5).
+// It is the only way a control message travels: both ends ignore a
+// control message that arrives without a MsgRel envelope.
 //
-// A reliable *transfer* is an ordered set of segments 0..total-1, each a
-// complete inner datagram (type byte + body) wrapped in a MsgRel envelope
-// carrying (transfer id, seq, total). The receiver acknowledges with
-// MsgAck datagrams carrying a cumulative ack plus a 32-bit selective-ack
-// bitmap. Both carry a CRC-32C trailer over their body, checked before a
-// segment is acknowledged or decoded, so a damaged datagram is discarded
-// exactly like a lost one; the sender keeps a bounded window of unacknowledged segments in
-// flight, retransmits on a backed-off timer with a retry budget, and
-// fast-retransmits segments a selective ack proves lost. The receiver
-// deduplicates (a retransmitted segment is re-acked, not re-delivered)
-// and, when a transfer stalls with holes, re-advertises them on a gap
-// probe timer so the sender resends exactly the missing chunks instead of
-// the receiver timing out the whole fetch.
+// A reliable *transfer* carries one message (type byte + body), split
+// into segments 0..total-1 of at most SegmentPayload bytes, each wrapped
+// in a MsgRel envelope carrying (transfer id, seq, total). The receiver
+// acknowledges with MsgAck datagrams carrying a cumulative ack plus a
+// 32-bit selective-ack bitmap. Both carry a CRC-32C trailer over their
+// body, checked before a segment is acknowledged or decoded, so a damaged
+// datagram is discarded exactly like a lost one. The sender keeps a
+// bounded window of unacknowledged segments in flight, retransmits on a
+// backed-off timer with a retry budget, and fast-retransmits segments a
+// selective ack proves lost. The receiver buffers segments, deduplicates
+// them (a retransmitted segment is re-acked, not re-stored) and delivers
+// the message upward once, whole, when the last segment arrives; when a
+// transfer stalls with holes it re-advertises them on a gap probe timer,
+// so the sender resends exactly the missing segments.
 //
 // Transfer IDs are namespaced per direction: an ack for transfer X always
 // refers to an outgoing transfer X of the ack's receiver, so the two
@@ -27,6 +30,7 @@ package udptransport
 // fire-and-forget and allocation-free.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -42,6 +46,12 @@ import (
 // deployments can carry it without importing the transport.
 type RetransmitConfig = core.RetransmitConfig
 
+// SegmentPayload is the most message bytes one reliable segment carries:
+// a datagram less the MsgRel header and checksum trailer. Every request
+// fits one segment (EncodeJSON enforces it); a larger message, such as a
+// configuration blob, spans ceil(len/SegmentPayload) segments.
+const SegmentPayload = MaxDatagram - relHeaderLen - crcLen
+
 const (
 	// relHeaderLen is the MsgRel envelope: type, transfer id, seq, total.
 	relHeaderLen = 1 + 4 + 2 + 2
@@ -50,13 +60,19 @@ const (
 	// ackBodyLen is the MsgAck body: transfer id, cumulative ack, bitmap,
 	// trailer.
 	ackBodyLen = 4 + 2 + 4 + crcLen
-	// maxRelInner bounds the inner datagram a single segment can carry.
-	maxRelInner = MaxDatagram - relHeaderLen - crcLen
-	// maxSegments bounds a transfer's segment count. Derived from
-	// MaxChunks so the largest configuration fetch the chunker may
-	// produce is always sendable as one transfer (the uint16 seq space
-	// is the hard ceiling).
-	maxSegments = MaxChunks
+	// maxSegments bounds a transfer's segment count, and so a message at
+	// maxMessage bytes (~64 MiB; the uint16 seq space is the hard
+	// ceiling).
+	maxSegments = 1024
+	// maxMessage is the largest message one transfer carries.
+	maxMessage = maxSegments * SegmentPayload
+	// serverRecvSegments is the server's receive bound: every request
+	// fits one segment, so the server never holds a half-built message
+	// for a source address that may be spoofed.
+	serverRecvSegments = 1
+	// linkRecvSegments is a client link's receive bound. Its connected
+	// socket hears only the server, whose responses may span segments.
+	linkRecvSegments = maxSegments
 	// doneRing is how many completed incoming transfers a peer remembers
 	// so late retransmits are re-acked instead of re-delivered.
 	doneRing = 128
@@ -106,21 +122,22 @@ func checkCRC(body []byte) ([]byte, error) {
 	return body[:n], nil
 }
 
-// encodeRel wraps one inner datagram in a checksummed MsgRel envelope.
-func encodeRel(xfer uint32, seq, total uint16, inner []byte) []byte {
-	out := make([]byte, relHeaderLen+len(inner)+crcLen)
+// encodeRel wraps one segment of a message in a checksummed MsgRel
+// envelope.
+func encodeRel(xfer uint32, seq, total uint16, seg []byte) []byte {
+	out := make([]byte, relHeaderLen+len(seg)+crcLen)
 	out[0] = MsgRel
 	binary.BigEndian.PutUint32(out[1:], xfer)
 	binary.BigEndian.PutUint16(out[5:], seq)
 	binary.BigEndian.PutUint16(out[7:], total)
-	copy(out[relHeaderLen:], inner)
+	copy(out[relHeaderLen:], seg)
 	sealCRC(out)
 	return out
 }
 
 // decodeRel verifies a MsgRel body (without the type byte) and splits it
-// into its header and inner datagram. The inner slice aliases body.
-func decodeRel(body []byte) (xfer uint32, seq, total uint16, inner []byte, err error) {
+// into its header and segment. The segment aliases body.
+func decodeRel(body []byte) (xfer uint32, seq, total uint16, seg []byte, err error) {
 	if body, err = checkCRC(body); err != nil {
 		return 0, 0, 0, nil, err
 	}
@@ -184,6 +201,9 @@ type arq struct {
 	cfg      RetransmitConfig
 	transmit func(to *net.UDPAddr, datagram []byte) error
 	logf     func(format string, args ...any)
+	// recvSegments is the role's receive bound: incoming transfers of
+	// more segments are dropped before any state is allocated.
+	recvSegments int
 
 	mu        sync.Mutex
 	closed    bool
@@ -226,28 +246,32 @@ type xmit struct {
 
 // recvState is one incoming reliable transfer being reassembled.
 type recvState struct {
-	total uint16
-	got   []bool
-	// claimed marks segments being handed upward outside the lock: a
-	// duplicate arriving meanwhile is dropped instead of delivered twice.
-	claimed []bool
-	count   int
-	probes  int
-	delay   time.Duration
-	timer   *time.Timer // gap probe
+	segs  [][]byte // segment payloads by seq; nil = not yet received
+	count int      // segments held
+	// delivering claims the transfer while its message is handed upward
+	// outside the lock. The completing segment stays out of segs until
+	// the delivery is accepted, so acks sent meanwhile still report it
+	// missing, and a copy of it arriving meanwhile is dropped instead of
+	// delivered twice.
+	delivering bool
+	probes     int
+	delay      time.Duration
+	timer      *time.Timer // gap probe
 }
 
-// newARQ creates the layer. transmit is the raw (post-impairment) datagram
-// send; logf may be nil.
-func newARQ(cfg RetransmitConfig, transmit func(*net.UDPAddr, []byte) error, logf func(string, ...any)) *arq {
+// newARQ creates the layer. recvSegments is the role's receive bound
+// (serverRecvSegments or linkRecvSegments); transmit is the raw
+// (post-impairment) datagram send; logf may be nil.
+func newARQ(cfg RetransmitConfig, recvSegments int, transmit func(*net.UDPAddr, []byte) error, logf func(string, ...any)) *arq {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	return &arq{
-		cfg:      cfg.WithDefaults(),
-		transmit: transmit,
-		logf:     logf,
-		peers:    make(map[string]*arqPeer),
+		cfg:          cfg.WithDefaults(),
+		transmit:     transmit,
+		logf:         logf,
+		recvSegments: recvSegments,
+		peers:        make(map[string]*arqPeer),
 	}
 }
 
@@ -291,19 +315,15 @@ func (a *arq) sweepPeersLocked() {
 	}
 }
 
-// send starts one reliable transfer carrying the given inner datagrams
-// (one per segment) and returns a handle the caller may cancel or watch
-// for failure. The inners are copied into framed segments; callers may
-// reuse their buffers immediately.
-func (a *arq) send(peerKey string, addr *net.UDPAddr, inners [][]byte) (*xmit, error) {
-	if len(inners) == 0 || len(inners) > maxSegments {
-		return nil, fmt.Errorf("udptransport: reliable transfer needs 1..%d segments, got %d", maxSegments, len(inners))
+// send starts one reliable transfer carrying msg (type byte + body),
+// split into SegmentPayload-sized segments, and returns a handle the
+// caller may cancel or watch for failure. msg is copied into framed
+// segments; callers may reuse its buffer immediately.
+func (a *arq) send(peerKey string, addr *net.UDPAddr, msg []byte) (*xmit, error) {
+	if len(msg) == 0 || len(msg) > maxMessage {
+		return nil, fmt.Errorf("udptransport: reliable message of %d bytes, want 1..%d", len(msg), maxMessage)
 	}
-	for i, in := range inners {
-		if len(in) > maxRelInner {
-			return nil, fmt.Errorf("udptransport: segment %d exceeds %d bytes", i, maxRelInner)
-		}
-	}
+	total := (len(msg) + SegmentPayload - 1) / SegmentPayload
 	a.mu.Lock()
 	if a.closed {
 		a.mu.Unlock()
@@ -314,14 +334,14 @@ func (a *arq) send(peerKey string, addr *net.UDPAddr, inners [][]byte) (*xmit, e
 	x := &xmit{
 		peerKey: peerKey,
 		xfer:    p.nextXfer,
-		segs:    make([][]byte, len(inners)),
-		pending: len(inners),
+		segs:    make([][]byte, total),
+		pending: total,
 		rto:     a.cfg.Timeout,
 		failed:  make(chan error, 1),
 	}
-	total := uint16(len(inners))
-	for i, in := range inners {
-		x.segs[i] = encodeRel(x.xfer, uint16(i), total, in)
+	for i := range x.segs {
+		seg := msg[i*SegmentPayload : min((i+1)*SegmentPayload, len(msg))]
+		x.segs[i] = encodeRel(x.xfer, uint16(i), uint16(total), seg)
 	}
 	p.sends[x.xfer] = x
 	x.next = min(len(x.segs), a.cfg.Window)
@@ -486,14 +506,16 @@ func (a *arq) handleAck(peerKey string, body []byte) {
 	}
 }
 
-// handleRel processes one incoming MsgRel body. deliver hands the inner
-// datagram upward and reports whether it was accepted; a refused delivery
-// is treated as loss (not acknowledged) so the sender retries later. The
-// inner slice aliases body and is lent to deliver for the duration of the
-// call only.
-func (a *arq) handleRel(peerKey string, addr *net.UDPAddr, body []byte, deliver func(inner []byte) bool) {
-	xfer, seq, total, inner, err := decodeRel(body)
-	if err != nil {
+// handleRel processes one incoming MsgRel body. Segments are buffered
+// until the transfer is complete; deliver then receives the whole message
+// (the segments concatenated in seq order) and reports whether it was
+// accepted. A refused delivery is treated as loss of the completing
+// segment (not acknowledged) so the sender's retransmit redelivers it.
+// The message is lent to deliver for the duration of the call only; for a
+// single-segment transfer it aliases body.
+func (a *arq) handleRel(peerKey string, addr *net.UDPAddr, body []byte, deliver func(msg []byte) bool) {
+	xfer, seq, total, seg, err := decodeRel(body)
+	if err != nil || int(total) > a.recvSegments {
 		return
 	}
 	a.mu.Lock()
@@ -516,20 +538,17 @@ func (a *arq) handleRel(peerKey string, addr *net.UDPAddr, body []byte, deliver 
 	}
 	r := p.recvs[xfer]
 	if r == nil {
-		if int(total) > maxSegments {
-			a.mu.Unlock()
-			return
-		}
-		r = &recvState{total: total, got: make([]bool, total), claimed: make([]bool, total), delay: a.cfg.AckDelay}
+		r = &recvState{segs: make([][]byte, total), delay: a.cfg.AckDelay}
 		p.recvs[xfer] = r
 	}
-	if r.total != total || int(seq) >= len(r.got) {
+	if len(r.segs) != int(total) {
 		// A sender that changes its mind about the segment count is
 		// corrupt; drop the envelope.
 		a.mu.Unlock()
 		return
 	}
-	if r.got[seq] {
+	if r.segs[seq] != nil {
+		// A duplicate: the first copy wins. Re-ack the current state.
 		a.stats.DupSegments++
 		ack := r.ack(xfer)
 		a.stats.AcksSent++
@@ -538,19 +557,52 @@ func (a *arq) handleRel(peerKey string, addr *net.UDPAddr, body []byte, deliver 
 		a.sendAck(to, ack)
 		return
 	}
-	if r.claimed[seq] {
-		// A copy of this segment is being delivered right now; the ack
-		// follows that delivery.
+	if r.delivering {
+		// A copy of the completing segment while the message is being
+		// delivered; the ack follows that delivery.
 		a.stats.DupSegments++
 		a.mu.Unlock()
 		return
 	}
-	r.claimed[seq] = true
+	if r.count+1 < int(total) {
+		// Copy out of the caller's reused read buffer. Clone keeps an
+		// empty segment non-nil, so it still counts as received.
+		r.segs[seq] = bytes.Clone(seg)
+		r.count++
+		// (Re)arm the gap probe: if the stream stalls with holes, the
+		// receiver re-advertises them instead of timing out the fetch.
+		// Progress refills the probe budget and resets the probe delay —
+		// an earlier stall must not leave later holes waiting out an
+		// inflated backed-off delay.
+		r.probes = 0
+		r.delay = a.cfg.AckDelay
+		a.armGapProbe(peerKey, xfer, r)
+		ack := r.ack(xfer)
+		a.stats.AcksSent++
+		to := p.addr
+		a.mu.Unlock()
+		a.sendAck(to, ack)
+		return
+	}
+	// This segment completes the transfer: claim it and deliver the whole
+	// message outside the lock (the server handler may send, and
+	// therefore re-enter the ARQ to push its reliable response).
+	msg := seg
+	if total > 1 {
+		// Concatenate with seg standing in at seq, without storing it:
+		// it aliases the caller's buffer, and while the message is being
+		// delivered the completing segment must still look missing.
+		r.segs[seq] = seg
+		msg = bytes.Join(r.segs, nil)
+		r.segs[seq] = nil
+	}
+	r.delivering = true
+	if r.timer != nil {
+		r.timer.Stop()
+	}
 	a.mu.Unlock()
 
-	// Delivery happens outside the lock (the server handler may send —
-	// and therefore re-enter the ARQ to push its reliable response).
-	accepted := deliver(inner)
+	accepted := deliver(msg)
 
 	a.mu.Lock()
 	if a.closed {
@@ -558,63 +610,38 @@ func (a *arq) handleRel(peerKey string, addr *net.UDPAddr, body []byte, deliver 
 		return
 	}
 	p = a.peers[peerKey]
-	if p == nil {
+	if p == nil || p.recvs[xfer] != r {
 		a.mu.Unlock()
 		return
 	}
-	r = p.recvs[xfer]
-	if r == nil || int(seq) >= len(r.got) {
-		a.mu.Unlock()
-		return
-	}
-	r.claimed[seq] = false
+	r.delivering = false
 	if !accepted {
 		// The upper layer shed the message (queue full): pretend the
-		// segment was lost so the retransmit redelivers it. Arm the gap
-		// probe so this half-open transfer still self-expires through
-		// the probe budget if the sender gives up before redelivering.
-		a.armGapProbe(p, peerKey, xfer, r)
+		// completing segment was lost so the retransmit redelivers it.
+		// Arm the gap probe so this half-open transfer still self-expires
+		// through the probe budget if the sender gives up first.
+		a.armGapProbe(peerKey, xfer, r)
 		a.mu.Unlock()
 		return
 	}
-	if !r.got[seq] {
-		r.got[seq] = true
-		r.count++
-	}
-	complete := r.count == int(r.total)
-	ack := r.ack(xfer)
+	delete(p.recvs, xfer)
+	p.rememberDone(xfer)
 	a.stats.AcksSent++
 	to := p.addr
-	if complete {
-		if r.timer != nil {
-			r.timer.Stop()
-		}
-		delete(p.recvs, xfer)
-		p.rememberDone(xfer)
-	} else {
-		// Re-arm the gap probe: if the stream stalls with holes, the
-		// receiver re-advertises them instead of timing out the fetch.
-		// Progress refills the probe budget and resets the probe delay —
-		// an earlier stall must not leave later holes waiting out an
-		// inflated backed-off delay.
-		r.probes = 0
-		r.delay = a.cfg.AckDelay
-		a.armGapProbe(p, peerKey, xfer, r)
-	}
 	a.mu.Unlock()
-	a.sendAck(to, ack)
+	a.sendAck(to, encodeAck(xfer, total, 0))
 }
 
 // ack builds the transfer's current cumulative + selective acknowledgment.
 // Callers hold a.mu.
 func (r *recvState) ack(xfer uint32) []byte {
 	cum := 0
-	for cum < len(r.got) && r.got[cum] {
+	for cum < len(r.segs) && r.segs[cum] != nil {
 		cum++
 	}
 	var bitmap uint32
-	for i := 0; i < 32 && cum+i < len(r.got); i++ {
-		if r.got[cum+i] {
+	for i := 0; i < 32 && cum+i < len(r.segs); i++ {
+		if r.segs[cum+i] != nil {
 			bitmap |= 1 << i
 		}
 	}
@@ -633,7 +660,7 @@ func (p *arqPeer) rememberDone(xfer uint32) {
 
 // armGapProbe (re)schedules the receiver's hole advertisement for an
 // incomplete transfer. Callers hold a.mu.
-func (a *arq) armGapProbe(p *arqPeer, peerKey string, xfer uint32, r *recvState) {
+func (a *arq) armGapProbe(peerKey string, xfer uint32, r *recvState) {
 	if r.timer != nil {
 		r.timer.Stop()
 	}
@@ -656,7 +683,7 @@ func (a *arq) onGapProbe(peerKey string, xfer uint32) {
 		return
 	}
 	r := p.recvs[xfer]
-	if r == nil {
+	if r == nil || r.delivering {
 		a.mu.Unlock()
 		return
 	}
@@ -668,7 +695,7 @@ func (a *arq) onGapProbe(peerKey string, xfer uint32) {
 		}
 		delete(p.recvs, xfer)
 		a.mu.Unlock()
-		a.logf("udptransport: incoming transfer %d from %q abandoned with %d/%d segments", xfer, peerKey, r.count, r.total)
+		a.logf("udptransport: incoming transfer %d from %q abandoned with %d/%d segments", xfer, peerKey, r.count, len(r.segs))
 		return
 	}
 	ack := r.ack(xfer)

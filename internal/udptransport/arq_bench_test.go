@@ -1,7 +1,7 @@
 package udptransport
 
 // BenchmarkLossyConfigFetch records the ARQ layer's retransmit overhead:
-// a five-chunk configuration fetch over real loopback UDP at 0%, 10% and
+// a five-segment configuration fetch over real loopback UDP at 0%, 10% and
 // 20% simulated control-path loss. Results are committed as
 // BENCH_arq.json; the interesting metrics are ns/op (latency cost of
 // recovery) and retransmits/op (wire cost of recovery).
@@ -31,7 +31,7 @@ func BenchmarkLossyConfigFetch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	blob := fiveChunkBlob()
+	blob := fiveSegmentBlob()
 	for _, loss := range []float64{0, 0.10, 0.20} {
 		b.Run(fmt.Sprintf("loss=%.0f%%", loss*100), func(b *testing.B) {
 			ep := &fakeEndpoint{caPub: pub, blob: blob}

@@ -83,8 +83,9 @@ type arqPair struct {
 	wg           sync.WaitGroup
 }
 
-// newARQPair builds endpoints a and b. deliverA/deliverB receive inner
-// datagrams accepted by the respective endpoint; aFilter/bFilter impair
+// newARQPair builds endpoints a and b, both with the client link's
+// receive bound. deliverA/deliverB receive the whole messages accepted by
+// the respective endpoint; aFilter/bFilter impair
 // the corresponding endpoint's sends (nil = perfect wire).
 func newARQPair(cfg RetransmitConfig, aFilter, bFilter SendFilter, deliverA, deliverB func([]byte) bool) *arqPair {
 	p := &arqPair{}
@@ -105,8 +106,8 @@ func newARQPair(cfg RetransmitConfig, aFilter, bFilter SendFilter, deliverA, del
 	}
 	aTx := mkTransmit(aFilter, &p.bRecv)
 	bTx := mkTransmit(bFilter, &p.aRecv)
-	p.a = newARQ(cfg, func(_ *net.UDPAddr, d []byte) error { return aTx(d) }, nil)
-	p.b = newARQ(cfg, func(_ *net.UDPAddr, d []byte) error { return bTx(d) }, nil)
+	p.a = newARQ(cfg, linkRecvSegments, func(_ *net.UDPAddr, d []byte) error { return aTx(d) }, nil)
+	p.b = newARQ(cfg, linkRecvSegments, func(_ *net.UDPAddr, d []byte) error { return bTx(d) }, nil)
 	p.aRecv = func(datagram []byte) {
 		msgType, body, err := Decode(datagram)
 		if err != nil {
@@ -140,114 +141,136 @@ func (p *arqPair) close() {
 	p.wg.Wait()
 }
 
-func TestARQTransferPerfectWire(t *testing.T) {
-	var mu sync.Mutex
-	var got [][]byte
-	pair := newARQPair(fastARQ(), nil, nil,
-		func([]byte) bool { return true },
-		func(inner []byte) bool {
-			mu.Lock()
-			got = append(got, append([]byte(nil), inner...))
-			mu.Unlock()
-			return true
-		})
-	defer pair.close()
-
-	inners := make([][]byte, 20) // > window of 8: exercises window advance
-	for i := range inners {
-		inners[i] = []byte(fmt.Sprintf("segment-%02d", i))
+// testMessage builds an n-byte message whose bytes depend on their
+// offset, so a segment delivered out of place cannot go unnoticed.
+func testMessage(n int) []byte {
+	msg := make([]byte, n)
+	for i := range msg {
+		msg[i] = byte(i*31 + i>>16)
 	}
-	x, err := pair.a.send("peer", nil, inners)
+	return msg
+}
+
+// sendAndWait sends msg from a to b and waits until the transfer is fully
+// acknowledged, failing the test if it exhausts its budget or stalls.
+func (p *arqPair) sendAndWait(t *testing.T, msg []byte, within time.Duration) {
+	t.Helper()
+	x, err := p.a.send("peer", nil, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := waitFor(func() bool {
-		s, _ := pair.a.active()
-		return s == 0
-	}); err != nil {
-		t.Fatalf("transfer never completed: %v", err)
+	deadline := time.Now().Add(within)
+	for {
+		if s, _ := p.a.active(); s == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("transfer stuck: %+v", p.a.snapshot())
+		}
+		select {
+		case err := <-x.failed:
+			t.Fatalf("transfer failed: %v (stats %+v)", err, p.a.snapshot())
+		case <-time.After(5 * time.Millisecond):
+		}
 	}
 	select {
 	case err := <-x.failed:
-		t.Fatalf("transfer failed on a perfect wire: %v", err)
+		t.Fatalf("transfer failed: %v", err)
 	default:
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != len(inners) {
-		t.Fatalf("delivered %d/%d segments", len(got), len(inners))
+}
+
+// recorder collects the messages an ARQ endpoint delivers.
+type recorder struct {
+	mu   sync.Mutex
+	msgs [][]byte
+}
+
+func (r *recorder) deliver(msg []byte) bool {
+	r.mu.Lock()
+	r.msgs = append(r.msgs, bytes.Clone(msg))
+	r.mu.Unlock()
+	return true
+}
+
+// only returns the single delivered message, failing the test unless
+// exactly one was delivered.
+func (r *recorder) only(t *testing.T) []byte {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.msgs) != 1 {
+		t.Fatalf("delivered %d messages, want exactly 1", len(r.msgs))
 	}
-	seen := make(map[string]bool)
-	for _, g := range got {
-		if seen[string(g)] {
-			t.Fatalf("segment %q delivered twice", g)
-		}
-		seen[string(g)] = true
+	return r.msgs[0]
+}
+
+func TestARQTransferPerfectWire(t *testing.T) {
+	// A perfect wire loses nothing, so no timer may fire. The RTO is long
+	// enough that a window of 64 kB segments, copied and checksummed under
+	// the race detector on a loaded host, cannot outlast it.
+	cfg := fastARQ()
+	cfg.Timeout = 2 * time.Second
+	var got recorder
+	pair := newARQPair(cfg, nil, nil, func([]byte) bool { return true }, got.deliver)
+	defer pair.close()
+
+	msg := testMessage(20 * SegmentPayload) // 20 segments > window of 8: exercises window advance
+	pair.sendAndWait(t, msg, 10*time.Second)
+	if !bytes.Equal(got.only(t), msg) {
+		t.Fatal("delivered message differs from the one sent")
 	}
-	if st := pair.a.snapshot(); st.TransfersDone != 1 || st.Retransmits != 0 {
+	if st := pair.a.snapshot(); st.TransfersDone != 1 || st.SegmentsSent != 20 || st.Retransmits != 0 {
 		t.Errorf("stats on a perfect wire: %+v", st)
 	}
 }
 
 func TestARQTransferSurvivesLoss(t *testing.T) {
 	// 100 segments through 20% drop + 5% duplication + 5% reorder in both
-	// directions: the selective-repeat machinery must deliver all of them
-	// exactly once within the retry budget.
-	var mu sync.Mutex
-	delivered := make(map[string]int)
+	// directions: the selective-repeat machinery must deliver the message
+	// exactly once, byte-identical, within the retry budget.
+	var got recorder
 	lossA := netsim.NewFaults(1, 0.20, 0.05, 0.05)
 	lossB := netsim.NewFaults(2, 0.20, 0.05, 0.05)
-	pair := newARQPair(fastARQ(), lossA.Filter, lossB.Filter,
-		func([]byte) bool { return true },
-		func(inner []byte) bool {
-			mu.Lock()
-			delivered[string(inner)]++
-			mu.Unlock()
-			return true
-		})
+	pair := newARQPair(fastARQ(), lossA.Filter, lossB.Filter, func([]byte) bool { return true }, got.deliver)
 	defer pair.close()
 
-	const n = 100
-	inners := make([][]byte, n)
-	for i := range inners {
-		inners[i] = []byte(fmt.Sprintf("lossy-segment-%03d", i))
-	}
-	x, err := pair.a.send("peer", nil, inners)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		s, _ := pair.a.active()
-		if s == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			st := pair.a.snapshot()
-			t.Fatalf("transfer stuck: %+v", st)
-		}
-		select {
-		case err := <-x.failed:
-			t.Fatalf("budget exhausted at 20%% loss: %v (stats %+v)", err, pair.a.snapshot())
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(delivered) != n {
-		t.Fatalf("delivered %d/%d distinct segments", len(delivered), n)
-	}
-	for k, c := range delivered {
-		if c != 1 {
-			t.Errorf("segment %q delivered %d times (dedupe broken)", k, c)
-		}
+	msg := testMessage(99*SegmentPayload + 17)
+	pair.sendAndWait(t, msg, 20*time.Second)
+	if !bytes.Equal(got.only(t), msg) {
+		t.Fatal("delivered message differs from the one sent")
 	}
 	st := pair.a.snapshot()
+	if st.SegmentsSent != 100 {
+		t.Errorf("SegmentsSent = %d, want 100", st.SegmentsSent)
+	}
 	if st.Retransmits+st.FastRetransmit == 0 {
 		t.Error("no retransmissions recorded at 20% loss")
 	}
 	t.Logf("sender stats at 20%% loss: %+v", st)
 	t.Logf("receiver stats: %+v", pair.b.snapshot())
+}
+
+// TestARQMessageSizes round-trips messages at and around the segment
+// boundaries: each arrives once, whole, in ceil(n/SegmentPayload)
+// segments.
+func TestARQMessageSizes(t *testing.T) {
+	const p = SegmentPayload
+	for _, n := range []int{1, p - 1, p, p + 1, 3*p + 17} {
+		t.Run(fmt.Sprintf("bytes=%d", n), func(t *testing.T) {
+			var got recorder
+			pair := newARQPair(fastARQ(), nil, nil, func([]byte) bool { return true }, got.deliver)
+			defer pair.close()
+			msg := testMessage(n)
+			pair.sendAndWait(t, msg, 10*time.Second)
+			if !bytes.Equal(got.only(t), msg) {
+				t.Fatal("delivered message differs from the one sent")
+			}
+			if want := uint64((n + p - 1) / p); pair.a.snapshot().SegmentsSent != want {
+				t.Errorf("SegmentsSent = %d, want %d", pair.a.snapshot().SegmentsSent, want)
+			}
+		})
+	}
 }
 
 func TestARQBudgetExhaustion(t *testing.T) {
@@ -259,7 +282,7 @@ func TestARQBudgetExhaustion(t *testing.T) {
 		func([]byte) bool { return true })
 	defer pair.close()
 
-	x, err := pair.a.send("peer", nil, [][]byte{[]byte("doomed")})
+	x, err := pair.a.send("peer", nil, []byte("doomed"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +309,7 @@ func TestARQCancelStopsTimers(t *testing.T) {
 		func([]byte) bool { return true })
 	defer pair.close()
 
-	x, err := pair.a.send("peer", nil, [][]byte{[]byte("cancelled")})
+	x, err := pair.a.send("peer", nil, []byte("cancelled"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +332,7 @@ func TestARQCloseFailsPending(t *testing.T) {
 		func([]byte) bool { return true },
 		func([]byte) bool { return true })
 
-	x, err := pair.a.send("peer", nil, [][]byte{[]byte("orphaned")})
+	x, err := pair.a.send("peer", nil, []byte("orphaned"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +345,7 @@ func TestARQCloseFailsPending(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("close never failed the pending transfer")
 	}
-	if _, err := pair.a.send("peer", nil, [][]byte{[]byte("late")}); !errors.Is(err, ErrLinkClosed) {
+	if _, err := pair.a.send("peer", nil, []byte("late")); !errors.Is(err, ErrLinkClosed) {
 		t.Errorf("send after close: err = %v, want ErrLinkClosed", err)
 	}
 	pair.b.close()
@@ -333,7 +356,7 @@ func TestARQReceiverDedupes(t *testing.T) {
 	cfg := fastARQ()
 	var acks [][]byte
 	var mu sync.Mutex
-	a := newARQ(cfg, func(_ *net.UDPAddr, d []byte) error {
+	a := newARQ(cfg, linkRecvSegments, func(_ *net.UDPAddr, d []byte) error {
 		mu.Lock()
 		acks = append(acks, append([]byte(nil), d...))
 		mu.Unlock()
@@ -341,16 +364,11 @@ func TestARQReceiverDedupes(t *testing.T) {
 	}, nil)
 	defer a.close()
 
-	delivered := 0
-	deliver := func([]byte) bool { delivered++; return true }
+	var got recorder
 	seg := encodeRel(1, 0, 2, []byte("dup-me"))
-	a.handleRel("p", nil, seg[1:], deliver)
-	a.handleRel("p", nil, seg[1:], deliver)
-	if delivered != 1 {
-		t.Fatalf("delivered %d times, want 1", delivered)
-	}
+	a.handleRel("p", nil, seg[1:], got.deliver)
+	a.handleRel("p", nil, seg[1:], got.deliver)
 	mu.Lock()
-	defer mu.Unlock()
 	if len(acks) != 2 {
 		t.Fatalf("%d acks sent, want 2 (dup re-acked)", len(acks))
 	}
@@ -361,8 +379,15 @@ func TestARQReceiverDedupes(t *testing.T) {
 			t.Errorf("ack %d = xfer %d cum %d bitmap %b err %v", i, xfer, cum, bitmap, err)
 		}
 	}
+	mu.Unlock()
 	if st := a.snapshot(); st.DupSegments != 1 {
 		t.Errorf("DupSegments = %d, want 1", st.DupSegments)
+	}
+	// The duplicate was stored once: completing the transfer delivers the
+	// message once, whole.
+	a.handleRel("p", nil, encodeRel(1, 1, 2, []byte("|tail"))[1:], got.deliver)
+	if msg := got.only(t); string(msg) != "dup-me|tail" {
+		t.Errorf("delivered %q, want %q", msg, "dup-me|tail")
 	}
 }
 
@@ -370,7 +395,7 @@ func TestARQCompletedTransferReAcked(t *testing.T) {
 	cfg := fastARQ()
 	var acks int
 	var mu sync.Mutex
-	a := newARQ(cfg, func(_ *net.UDPAddr, d []byte) error {
+	a := newARQ(cfg, linkRecvSegments, func(_ *net.UDPAddr, d []byte) error {
 		mu.Lock()
 		acks++
 		mu.Unlock()
@@ -404,7 +429,7 @@ func TestARQRefusedDeliveryNotAcked(t *testing.T) {
 	cfg := fastARQ()
 	var lastAck []byte
 	var mu sync.Mutex
-	a := newARQ(cfg, func(_ *net.UDPAddr, d []byte) error {
+	a := newARQ(cfg, linkRecvSegments, func(_ *net.UDPAddr, d []byte) error {
 		mu.Lock()
 		lastAck = append([]byte(nil), d...)
 		mu.Unlock()
@@ -434,13 +459,90 @@ func TestARQRefusedDeliveryNotAcked(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("delivered %d times, want 1", delivered)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if lastAck == nil {
-		t.Fatal("accepted delivery not acknowledged")
+	lastCum := func() uint16 {
+		mu.Lock()
+		defer mu.Unlock()
+		if lastAck == nil {
+			t.Fatal("accepted delivery not acknowledged")
+		}
+		_, cum, _, _ := decodeAck(lastAck[1:])
+		return cum
 	}
-	if _, cum, _, _ := decodeAck(lastAck[1:]); cum != 1 {
+	if cum := lastCum(); cum != 1 {
 		t.Errorf("final ack cum = %d, want 1", cum)
+	}
+
+	// In a multi-segment transfer only the completing segment is left
+	// unacknowledged: the earlier one stays received.
+	refuse = true
+	delivered = 0
+	a.handleRel("p", nil, encodeRel(5, 0, 2, []byte("a"))[1:], deliver)
+	a.handleRel("p", nil, encodeRel(5, 1, 2, []byte("b"))[1:], deliver)
+	if cum := lastCum(); cum != 1 {
+		t.Errorf("ack after a refused completion: cum = %d, want 1", cum)
+	}
+	refuse = false
+	a.handleRel("p", nil, encodeRel(5, 1, 2, []byte("b"))[1:], deliver) // the retransmit
+	if delivered != 1 {
+		t.Fatalf("multi-segment message delivered %d times, want 1", delivered)
+	}
+	if cum := lastCum(); cum != 2 {
+		t.Errorf("final ack cum = %d, want 2", cum)
+	}
+}
+
+// TestARQClaimWhileDelivering holds a message's delivery open while
+// copies of its segments arrive: a copy of the completing segment must be
+// dropped rather than deliver the message twice, and a copy of an earlier
+// segment is re-acked without reporting the completing one, which is not
+// acknowledged until the delivery is accepted.
+func TestARQClaimWhileDelivering(t *testing.T) {
+	var mu sync.Mutex
+	var lastAck []byte
+	a := newARQ(fastARQ(), linkRecvSegments, func(_ *net.UDPAddr, d []byte) error {
+		mu.Lock()
+		lastAck = bytes.Clone(d)
+		mu.Unlock()
+		return nil
+	}, nil)
+	defer a.close()
+	lastCum := func() uint16 {
+		mu.Lock()
+		defer mu.Unlock()
+		_, cum, _, _ := decodeAck(lastAck[1:])
+		return cum
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	var delivered atomic.Int32
+	deliver := func([]byte) bool {
+		if delivered.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		return true
+	}
+	first := encodeRel(1, 0, 2, []byte("a"))[1:]
+	last := encodeRel(1, 1, 2, []byte("b"))[1:]
+	a.handleRel("p", nil, first, deliver)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		a.handleRel("p", nil, last, deliver)
+	}()
+	<-entered
+	a.handleRel("p", nil, last, deliver)
+	a.handleRel("p", nil, first, deliver)
+	if cum := lastCum(); cum != 1 {
+		t.Errorf("ack during delivery: cum = %d, want 1", cum)
+	}
+	close(release)
+	<-done
+	if n := delivered.Load(); n != 1 {
+		t.Fatalf("message delivered %d times, want 1", n)
+	}
+	if cum := lastCum(); cum != 2 {
+		t.Errorf("ack after delivery: cum = %d, want 2", cum)
 	}
 }
 
@@ -452,7 +554,7 @@ func TestARQGapProbeAdvertisesHoles(t *testing.T) {
 	cfg.MaxRetries = 3
 	var mu sync.Mutex
 	var probes [][]byte
-	a := newARQ(cfg, func(_ *net.UDPAddr, d []byte) error {
+	a := newARQ(cfg, linkRecvSegments, func(_ *net.UDPAddr, d []byte) error {
 		mu.Lock()
 		probes = append(probes, append([]byte(nil), d...))
 		mu.Unlock()
@@ -490,16 +592,13 @@ func TestARQGapProbeAdvertisesHoles(t *testing.T) {
 }
 
 func TestARQSendValidation(t *testing.T) {
-	a := newARQ(fastARQ(), func(_ *net.UDPAddr, d []byte) error { return nil }, nil)
+	a := newARQ(fastARQ(), linkRecvSegments, func(_ *net.UDPAddr, d []byte) error { return nil }, nil)
 	defer a.close()
 	if _, err := a.send("p", nil, nil); err == nil {
-		t.Error("empty transfer accepted")
+		t.Error("empty message accepted")
 	}
-	if _, err := a.send("p", nil, make([][]byte, maxSegments+1)); err == nil {
-		t.Error("oversized transfer accepted")
-	}
-	if _, err := a.send("p", nil, [][]byte{make([]byte, maxRelInner+1)}); err == nil {
-		t.Error("oversized segment accepted")
+	if _, err := a.send("p", nil, make([]byte, maxMessage+1)); err == nil {
+		t.Error("message beyond maxSegments segments accepted")
 	}
 }
 
@@ -542,7 +641,7 @@ func TestARQCorruptionBehavesLikeLoss(t *testing.T) {
 						return true
 					})
 				defer pair.close()
-				x, err := pair.a.send("peer", nil, [][]byte{inner})
+				x, err := pair.a.send("peer", nil, inner)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -573,7 +672,7 @@ func TestARQPortReuseFreshTransferIDs(t *testing.T) {
 	var mu sync.Mutex
 	var client *arq
 	var delivered []string
-	server := newARQ(fastARQ(), func(_ *net.UDPAddr, d []byte) error {
+	server := newARQ(fastARQ(), serverRecvSegments, func(_ *net.UDPAddr, d []byte) error {
 		mu.Lock()
 		c := client
 		mu.Unlock()
@@ -584,7 +683,7 @@ func TestARQPortReuseFreshTransferIDs(t *testing.T) {
 	}, nil)
 	defer server.close()
 	for link := 0; link < 2; link++ {
-		c := newARQ(fastARQ(), func(_ *net.UDPAddr, d []byte) error {
+		c := newARQ(fastARQ(), linkRecvSegments, func(_ *net.UDPAddr, d []byte) error {
 			server.handleRel("127.0.0.1:40000", nil, d[1:], func(inner []byte) bool {
 				mu.Lock()
 				delivered = append(delivered, string(inner))
@@ -596,7 +695,7 @@ func TestARQPortReuseFreshTransferIDs(t *testing.T) {
 		mu.Lock()
 		client = c
 		mu.Unlock()
-		if _, err := c.send("", nil, [][]byte{[]byte(fmt.Sprintf("hello from link %d", link))}); err != nil {
+		if _, err := c.send("", nil, []byte(fmt.Sprintf("hello from link %d", link))); err != nil {
 			t.Fatal(err)
 		}
 		if err := waitFor(func() bool {
@@ -614,5 +713,68 @@ func TestARQPortReuseFreshTransferIDs(t *testing.T) {
 	}
 	if st := server.snapshot(); st.DupSegments != 0 {
 		t.Errorf("server counted %d duplicate segments across links, want 0", st.DupSegments)
+	}
+}
+
+// TestARQReceiveHardening feeds a receiver inconsistent segment streams.
+// Whatever arrives, it delivers only complete transfers within its role's
+// bound, each once, as its first-received segments in seq order.
+func TestARQReceiveHardening(t *testing.T) {
+	type seg struct {
+		xfer       uint32
+		seq, total uint16
+		data       string
+	}
+	for _, tc := range []struct {
+		name      string
+		bound     int
+		in        []seg
+		want      []string // delivered messages, in order
+		wantRecvs int      // half-built transfers left behind
+	}{
+		{"total changes mid-transfer", linkRecvSegments,
+			[]seg{{1, 0, 3, "a"}, {1, 1, 4, "X"}, {1, 1, 3, "b"}, {1, 2, 3, "c"}},
+			[]string{"abc"}, 0},
+		{"seq at or above total", linkRecvSegments,
+			[]seg{{1, 3, 3, "X"}, {1, 0, 1, "ok"}},
+			[]string{"ok"}, 0},
+		{"total above server bound", serverRecvSegments,
+			[]seg{{1, 0, 2, "a"}, {1, 1, 2, "b"}, {2, 0, 1, "request"}},
+			[]string{"request"}, 0},
+		{"total above link bound", linkRecvSegments,
+			[]seg{{1, 0, maxSegments + 1, "a"}},
+			nil, 0},
+		{"duplicate seq keeps the first copy", linkRecvSegments,
+			[]seg{{1, 0, 2, "first"}, {1, 0, 2, "SECOND"}, {1, 1, 2, "|tail"}},
+			[]string{"first|tail"}, 0},
+		{"incomplete transfer never delivered", linkRecvSegments,
+			[]seg{{1, 0, 3, "a"}, {1, 2, 3, "c"}, {1, 2, 3, "c"}},
+			nil, 1},
+		{"reordered segments reassembled in seq order", linkRecvSegments,
+			[]seg{{1, 2, 3, "c"}, {1, 0, 3, "a"}, {1, 1, 3, "b"}},
+			[]string{"abc"}, 0},
+		{"retransmit after completion not redelivered", linkRecvSegments,
+			[]seg{{1, 0, 2, "a"}, {1, 1, 2, "b"}, {1, 0, 2, "a"}, {1, 1, 2, "b"}},
+			[]string{"ab"}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fastARQ()
+			cfg.AckDelay = time.Hour // no gap probe abandons a transfer mid-test
+			a := newARQ(cfg, tc.bound, func(*net.UDPAddr, []byte) error { return nil }, nil)
+			defer a.close()
+			var got []string
+			for _, s := range tc.in {
+				a.handleRel("p", nil, encodeRel(s.xfer, s.seq, s.total, []byte(s.data))[1:], func(msg []byte) bool {
+					got = append(got, string(msg))
+					return true
+				})
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Errorf("delivered %q, want %q", got, tc.want)
+			}
+			if _, r := a.active(); r != tc.wantRecvs {
+				t.Errorf("%d half-built transfers held, want %d", r, tc.wantRecvs)
+			}
+		})
 	}
 }

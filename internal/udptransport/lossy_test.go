@@ -8,13 +8,18 @@ import (
 	"bytes"
 	"context"
 	"crypto/ed25519"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"endbox/internal/attest"
 	"endbox/internal/core"
 	"endbox/internal/netsim"
 	"endbox/internal/vpn"
@@ -32,13 +37,10 @@ func lossyCfg() RetransmitConfig {
 	}
 }
 
-// fiveChunkBlob builds a configuration blob spanning exactly five chunks.
-func fiveChunkBlob() []byte {
-	blob := make([]byte, 4*ChunkPayload+ChunkPayload/2)
-	for i := range blob {
-		blob[i] = byte(i * 31)
-	}
-	return blob
+// fiveSegmentBlob builds a configuration blob whose MsgConfig response
+// spans exactly five segments.
+func fiveSegmentBlob() []byte {
+	return testMessage(4*SegmentPayload + SegmentPayload/2)
 }
 
 // startLossyTransport binds a server transport with the given impairment
@@ -55,10 +57,10 @@ func startLossyTransport(t *testing.T, ep *fakeEndpoint, filter SendFilter) *Tra
 	return tr
 }
 
-// TestLossyConfigFetchFiveChunks is the acceptance scenario: a five-chunk
-// configuration publish completes under 15% simulated loss (plus
-// duplication and reordering) in both directions, within the retry
-// budget, with a deterministic seed.
+// TestLossyConfigFetchFiveChunks is the acceptance scenario: a
+// configuration fetch whose response spans five segments completes under
+// 15% simulated loss (plus duplication and reordering) in both
+// directions, within the retry budget, with a deterministic seed.
 func TestLossyConfigFetchFiveChunks(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -66,22 +68,23 @@ func TestLossyConfigFetchFiveChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := fiveChunkBlob()
-	if chunks, err := EncodeChunks(blob); err != nil || len(chunks) != 5 {
-		t.Fatalf("test blob spans %d chunks (err %v), want 5", len(chunks), err)
+	blob := fiveSegmentBlob()
+	// The MsgConfig response is the type byte plus the blob.
+	if segments := len(blob)/SegmentPayload + 1; segments != 5 {
+		t.Fatalf("test blob spans %d segments, want 5", segments)
 	}
 	ep := &fakeEndpoint{caPub: pub, blob: blob}
 	// Server-side impairment: the seeded 15%/5%/5% model, plus a
 	// deterministic drop of the 1st and 3rd control datagrams the server
-	// sends — the first transmissions of two chunks. Whatever the seeded
-	// model does this run, at least two chunks MUST be recovered by
+	// sends — the first transmissions of two segments. Whatever the seeded
+	// model does this run, at least two segments MUST be recovered by
 	// retransmission for the fetch to complete.
 	serverLoss := netsim.NewFaults(1001, 0.15, 0.05, 0.05)
 	var sent atomic.Int64
 	serverFilter := func(d []byte, tx func([]byte) error) error {
 		switch sent.Add(1) {
 		case 1, 3:
-			return nil // deterministic chunk loss
+			return nil // deterministic segment loss
 		}
 		return serverLoss.Filter(d, tx)
 	}
@@ -106,9 +109,9 @@ func TestLossyConfigFetchFiveChunks(t *testing.T) {
 	}
 	srv := tr.ARQStats()
 	if srv.Retransmits+srv.FastRetransmit < 2 {
-		t.Errorf("the two deterministically dropped chunks were not retransmitted: %+v", srv)
+		t.Errorf("the two deterministically dropped segments were not retransmitted: %+v", srv)
 	}
-	t.Logf("server ARQ under 15%%/5%%/5%% + 2 forced chunk drops: %+v", srv)
+	t.Logf("server ARQ under 15%%/5%%/5%% + 2 forced segment drops: %+v", srv)
 	t.Logf("client ARQ: %+v", link.ARQStats())
 }
 
@@ -163,7 +166,7 @@ func TestLossyFetchCancelMidRetransmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep := &fakeEndpoint{caPub: pub, blob: fiveChunkBlob()}
+	ep := &fakeEndpoint{caPub: pub, blob: fiveSegmentBlob()}
 	// The server answers into a black hole: the client sees nothing, so
 	// its request transfer keeps retransmitting until cancelled.
 	tr := startLossyTransport(t, ep, func([]byte, func([]byte) error) error { return nil })
@@ -213,157 +216,322 @@ func TestLossyFetchCancelMidRetransmit(t *testing.T) {
 	}
 }
 
-// TestLossyDisabledARQTimesOut pins the pre-reliability behaviour the
-// Disable escape hatch preserves: with the ARQ off and real loss, a
-// multi-chunk fetch is at the mercy of the wire (and the legacy path
-// still works perfectly on a clean wire).
-func TestLossyDisabledARQCleanWire(t *testing.T) {
+// TestLossyUnwrappedControlIgnored pins that the ARQ is the only control
+// path: a bare MsgRegister or MsgFetch, sent without its MsgRel envelope,
+// gets no reply and reaches no ServerEndpoint method, while an ARQ client
+// of the same server keeps being served.
+func TestLossyUnwrappedControlIgnored(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	pub, _, err := ed25519.GenerateKey(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := fiveChunkBlob()
-	ep := &fakeEndpoint{caPub: pub, blob: blob}
-	tr := NewTransport("127.0.0.1:0")
-	tr.Configure(0, RetransmitConfig{Disable: true}, core.LossProfile{})
-	if err := tr.BindServer(ep); err != nil {
+	ep := &fakeEndpoint{caPub: pub, blob: []byte("config")}
+	tr := startLossyTransport(t, ep, nil)
+
+	server, err := net.ResolveUDPAddr("udp", tr.Addr())
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
+	bare, err := net.DialUDP("udp", nil, server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	register, err := EncodeJSON(MsgRegister, Register{PlatformID: "bare", Key: pub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetch := Encode(MsgFetch, make([]byte, 8))
+	for _, d := range [][]byte{register, fetch} {
+		if _, err := bare.Write(d); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	link, err := Dial(ctx, tr.Addr(), LinkRetransmit(RetransmitConfig{Disable: true}))
+	// The server reads its socket in order, so once the ARQ client's
+	// round trips complete, the bare datagrams sent earlier were handled.
+	link, err := Dial(ctx, tr.Addr(), LinkRetransmit(lossyCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer link.Close()
-	fetched, err := link.FetchConfig(ctx, 1)
-	if err != nil {
-		t.Fatalf("legacy fetch on a clean wire: %v", err)
+	if got, err := link.Register(ctx, "wrapped", pub); err != nil || !got.Equal(pub) {
+		t.Fatalf("ARQ Register beside bare traffic: key ok %v, err %v", got.Equal(pub), err)
 	}
-	if !bytes.Equal(fetched, blob) {
-		t.Fatal("legacy fetch corrupted the blob")
+	if got, err := link.FetchConfig(ctx, 1); err != nil || string(got) != "config" {
+		t.Fatalf("ARQ FetchConfig beside bare traffic: %q, %v", got, err)
 	}
-	if st := link.ARQStats(); st.TransfersSent != 0 {
-		t.Errorf("disabled ARQ recorded transfers: %+v", st)
+	if n := ep.calls.Load(); n != 2 {
+		t.Errorf("endpoint called %d times, want 2 (the wrapped Register and FetchConfig)", n)
+	}
+	ep.mu.Lock()
+	platforms := fmt.Sprint(ep.platforms)
+	ep.mu.Unlock()
+	if platforms != "[wrapped]" {
+		t.Errorf("registered platforms %s, want [wrapped]", platforms)
+	}
+	if err := bare.SetReadDeadline(time.Now().Add(200 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, MaxDatagram)
+	if n, err := bare.Read(buf); err == nil {
+		t.Fatalf("bare request answered with a %d-byte %c datagram", n, buf[0])
 	}
 }
 
-// TestLossyMixedLegacyClient checks an ARQ-less client against an
-// ARQ-enabled server: unwrapped requests are answered unwrapped, so old
-// clients interoperate.
-func TestLossyMixedLegacyClient(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
+// faultOnce is a SendFilter that applies one fault to the first datagram
+// match selects and passes every other datagram through unchanged.
+type faultOnce struct {
+	fault string // corrupt, drop, dup or reorder
+	match func(datagram []byte) bool
+
+	mu   sync.Mutex
+	hit  bool
+	held []byte // reorder: sent right after the next datagram
+}
+
+func (f *faultOnce) filter(d []byte, tx func([]byte) error) error {
+	f.mu.Lock()
+	if held := f.held; held != nil {
+		f.held = nil
+		f.mu.Unlock()
+		err := tx(d)
+		_ = tx(held)
+		return err
+	}
+	if f.hit || !f.match(d) {
+		f.mu.Unlock()
+		return tx(d)
+	}
+	f.hit = true
+	defer f.mu.Unlock()
+	switch f.fault {
+	case "corrupt":
+		c := bytes.Clone(d)
+		c[len(c)/2] ^= 0xFF
+		return tx(c)
+	case "drop":
+		return nil
+	case "dup":
+		_ = tx(d)
+		return tx(d)
+	default: // reorder
+		f.held = bytes.Clone(d)
+		return nil
+	}
+}
+
+func (f *faultOnce) fired() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.hit
+}
+
+// TestARQFaultTable pins the control rows of the fault table in
+// docs/PROTOCOL.md §1 over real sockets: every control message type, and
+// the acks of each direction, × {corrupt, drop, dup, reorder}. The fault
+// hits the first datagram of that type. Whatever it is, the round trip
+// completes with the right answer and the endpoint runs once: a corrupt
+// or dropped segment is retransmitted, a duplicate is absorbed rather
+// than delivered again, and reordered segments are reassembled in seq
+// order.
+func TestARQFaultTable(t *testing.T) {
 	pub, _, err := ed25519.GenerateKey(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := fiveChunkBlob()
-	ep := &fakeEndpoint{caPub: pub, blob: blob}
-	tr := startLossyTransport(t, ep, nil) // ARQ on, clean wire
+	blob := testMessage(2*SegmentPayload + 17) // MsgConfig spans three segments
+	register := func(ctx context.Context, l *Link) error {
+		got, err := l.Register(ctx, "platform", pub)
+		if err == nil && !got.Equal(pub) {
+			err = fmt.Errorf("CA key corrupted")
+		}
+		return err
+	}
+	enroll := func(ctx context.Context, l *Link) error {
+		prov, err := l.Enroll(ctx, attest.Quote{PlatformID: "enrolled"})
+		if err == nil && string(prov.SealedKey) != "sealed" {
+			err = fmt.Errorf("provision corrupted: %+v", prov)
+		}
+		return err
+	}
+	refused := func(ctx context.Context, l *Link) error {
+		if _, err := l.Enroll(ctx, attest.Quote{}); err == nil || !strings.Contains(err.Error(), "enrolment closed") {
+			return fmt.Errorf("want the server's refusal, got %v", err)
+		}
+		return nil
+	}
+	hello := func(ctx context.Context, l *Link) error {
+		sh, err := l.Hello(ctx, &vpn.ClientHello{ClientID: "c"})
+		if err == nil && sh.ChosenTLS != vpn.TLS13 {
+			err = fmt.Errorf("server hello corrupted: %+v", sh)
+		}
+		return err
+	}
+	resume := func(ctx context.Context, l *Link) error {
+		reply, err := l.Resume(ctx, &vpn.ResumeRequest{ClientID: "c", ConfigVersion: 7})
+		if err == nil && reply.ConfigVersion != 7 {
+			err = fmt.Errorf("resume reply corrupted: %+v", reply)
+		}
+		return err
+	}
+	fetch := func(ctx context.Context, l *Link) error {
+		got, err := l.FetchConfig(ctx, 1)
+		if err == nil && !bytes.Equal(got, blob) {
+			err = fmt.Errorf("blob corrupted")
+		}
+		return err
+	}
+	for _, row := range []struct {
+		name       string
+		typ        byte // MsgAck, or the message a MsgRel carries at seq 0
+		fromServer bool
+		roundTrip  func(context.Context, *Link) error
+	}{
+		{"MsgRegister", MsgRegister, false, register},
+		{"MsgRegisterOK", MsgRegisterOK, true, register},
+		{"MsgQuote", MsgQuote, false, enroll},
+		{"MsgProvision", MsgProvision, true, enroll},
+		{"MsgHello", MsgHello, false, hello},
+		{"MsgServerHello", MsgServerHello, true, hello},
+		{"MsgResume", MsgResume, false, resume},
+		{"MsgResumeOK", MsgResumeOK, true, resume},
+		{"MsgFetch", MsgFetch, false, fetch},
+		{"MsgConfig", MsgConfig, true, fetch},
+		{"MsgError", MsgError, true, refused},
+		{"MsgAck-from-client", MsgAck, false, fetch},
+		{"MsgAck-from-server", MsgAck, true, fetch},
+	} {
+		for _, fault := range []string{"corrupt", "drop", "dup", "reorder"} {
+			t.Run(row.name+"/"+fault, func(t *testing.T) {
+				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+				defer cancel()
+				f := &faultOnce{fault: fault, match: func(d []byte) bool {
+					if row.typ == MsgAck {
+						return d[0] == MsgAck
+					}
+					return d[0] == MsgRel && len(d) > relHeaderLen &&
+						binary.BigEndian.Uint16(d[5:]) == 0 && d[relHeaderLen] == row.typ
+				}}
+				var serverFilter, linkFilter SendFilter
+				if row.fromServer {
+					serverFilter = f.filter
+				} else {
+					linkFilter = f.filter
+				}
+				ep := &fakeEndpoint{caPub: pub, blob: blob}
+				tr := startLossyTransport(t, ep, serverFilter)
+				link, err := Dial(ctx, tr.Addr(), LinkRetransmit(lossyCfg()), LinkSendFilter(linkFilter))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer link.Close()
 
-	link, err := Dial(ctx, tr.Addr(), LinkRetransmit(RetransmitConfig{Disable: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer link.Close()
-	got, err := link.Register(ctx, "legacy-platform", pub)
-	if err != nil {
-		t.Fatalf("legacy Register against ARQ server: %v", err)
-	}
-	if !got.Equal(pub) {
-		t.Fatal("legacy Register corrupted the key")
-	}
-	fetched, err := link.FetchConfig(ctx, 1)
-	if err != nil {
-		t.Fatalf("legacy fetch against ARQ server: %v", err)
-	}
-	if !bytes.Equal(fetched, blob) {
-		t.Fatal("legacy fetch corrupted the blob")
+				if err := row.roundTrip(ctx, link); err != nil {
+					t.Fatalf("round trip: %v", err)
+				}
+				// The server acks a request only after sending its response,
+				// so a faulted ack may still be on its way when the round
+				// trip returns.
+				if err := waitFor(f.fired); err != nil {
+					t.Fatal("the fault never hit a datagram")
+				}
+				sender, receiver := link.arq, tr.arq
+				if row.fromServer {
+					sender, receiver = receiver, sender
+				}
+				if row.typ != MsgAck {
+					switch fault {
+					case "corrupt", "drop":
+						if st := sender.snapshot(); st.Retransmits+st.FastRetransmit == 0 {
+							t.Errorf("lost segment never retransmitted: %+v", st)
+						}
+					case "dup":
+						if err := waitFor(func() bool { return receiver.snapshot().DupSegments > 0 }); err != nil {
+							t.Errorf("duplicate never absorbed: %+v", receiver.snapshot())
+						}
+					}
+				}
+				if n := ep.calls.Load(); n != 1 {
+					t.Errorf("endpoint called %d times, want 1", n)
+				}
+				if n := len(link.control); n != 0 {
+					t.Errorf("%d stray responses queued: a response was delivered twice", n)
+				}
+			})
+		}
 	}
 }
 
-// TestLossyAssemblerHardening feeds the reassembly path inconsistent
-// chunk streams and expects typed rejections instead of silent
-// corruption.
-func TestLossyAssemblerHardening(t *testing.T) {
-	mkChunk := func(idx, total int, data []byte) []byte {
-		body := make([]byte, 4+len(data))
-		body[0], body[1] = byte(idx>>8), byte(idx)
-		body[2], body[3] = byte(total>>8), byte(total)
-		copy(body[4:], data)
-		return body
+// TestLossyFramesBypassARQ pins the drop row of MsgFrame and MsgControl
+// in the docs/PROTOCOL.md §1 fault table: sealed frames never enter the
+// ARQ layer or the control-path send filter, in either direction, so a
+// lost frame stays lost and nothing retransmits it.
+func TestLossyFramesBypassARQ(t *testing.T) {
+	pub, _, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	full := bytes.Repeat([]byte{0xCC}, ChunkPayload)
+	for _, tc := range []struct {
+		name string
+		send func(*Link, []byte) error
+	}{
+		{"MsgFrame", (*Link).SendFrame},
+		{"MsgControl", (*Link).SendControlFrame},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			var filtered sync.Map // message types the send filters saw
+			filter := func(d []byte, tx func([]byte) error) error {
+				filtered.Store(d[0], true)
+				return tx(d)
+			}
+			ep := &fakeEndpoint{caPub: pub}
+			tr := startLossyTransport(t, ep, filter)
+			link, err := Dial(ctx, tr.Addr(), LinkRetransmit(lossyCfg()), LinkSendFilter(filter))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer link.Close()
+			if _, err := link.Hello(ctx, &vpn.ClientHello{ClientID: "c1"}); err != nil {
+				t.Fatal(err)
+			}
+			pushed := make(chan struct{}, 1)
+			link.SetDeliver(func([][]byte) error {
+				pushed <- struct{}{}
+				return nil
+			})
 
-	t.Run("total changes mid-fetch", func(t *testing.T) {
-		var a Assembler
-		if _, err := a.Add(mkChunk(0, 3, full)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := a.Add(mkChunk(1, 4, full)); !errors.Is(err, ErrChunkMismatch) {
-			t.Errorf("err = %v, want ErrChunkMismatch", err)
-		}
-	})
-	t.Run("duplicate with different payload", func(t *testing.T) {
-		var a Assembler
-		if _, err := a.Add(mkChunk(0, 2, full)); err != nil {
-			t.Fatal(err)
-		}
-		altered := append([]byte(nil), full...)
-		altered[17] ^= 0xFF
-		if _, err := a.Add(mkChunk(0, 2, altered)); !errors.Is(err, ErrChunkMismatch) {
-			t.Errorf("err = %v, want ErrChunkMismatch", err)
-		}
-	})
-	t.Run("identical retransmit absorbed", func(t *testing.T) {
-		var a Assembler
-		if _, err := a.Add(mkChunk(0, 2, full)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := a.Add(mkChunk(0, 2, full)); err != nil {
-			t.Errorf("idempotent retransmit rejected: %v", err)
-		}
-		done, err := a.Add(mkChunk(1, 2, []byte("tail")))
-		if err != nil || !done {
-			t.Fatalf("done=%v err=%v", done, err)
-		}
-		blob, err := a.Blob()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := append(append([]byte(nil), full...), []byte("tail")...); !bytes.Equal(blob, want) {
-			t.Error("reassembly mismatch")
-		}
-	})
-	t.Run("short non-final chunk rejected", func(t *testing.T) {
-		var a Assembler
-		if _, err := a.Add(mkChunk(0, 3, []byte("short"))); !errors.Is(err, ErrChunkMismatch) {
-			t.Errorf("err = %v, want ErrChunkMismatch", err)
-		}
-	})
-	t.Run("incomplete blob refused", func(t *testing.T) {
-		var a Assembler
-		if _, err := a.Add(mkChunk(0, 2, full)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := a.Blob(); !errors.Is(err, ErrChunkMismatch) {
-			t.Errorf("Blob on incomplete fetch: err = %v", err)
-		}
-	})
-	t.Run("bad chunk headers rejected", func(t *testing.T) {
-		var a Assembler
-		if _, err := a.Add([]byte{0, 1}); !errors.Is(err, ErrBadChunk) {
-			t.Errorf("short body: err = %v", err)
-		}
-		if _, err := a.Add(mkChunk(5, 3, full)); !errors.Is(err, ErrBadChunk) {
-			t.Errorf("index out of range: err = %v", err)
-		}
-		oversized := mkChunk(0, 1, bytes.Repeat([]byte{1}, ChunkPayload+1))
-		if _, err := a.Add(oversized); !errors.Is(err, ErrBadChunk) {
-			t.Errorf("oversized payload: err = %v", err)
-		}
-	})
+			if err := tc.send(link, []byte("sealed")); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.SendToClient("c1", []byte("sealed")); err != nil {
+				t.Fatal(err)
+			}
+			if err := waitFor(func() bool {
+				ep.mu.Lock()
+				defer ep.mu.Unlock()
+				return len(ep.frames) == 1
+			}); err != nil {
+				t.Fatal("frame never reached the endpoint")
+			}
+			select {
+			case <-pushed:
+			case <-ctx.Done():
+				t.Fatal("pushed frame never delivered")
+			}
+			for _, typ := range []byte{MsgFrame, MsgControl} {
+				if _, ok := filtered.Load(typ); ok {
+					t.Errorf("a %c datagram went through the control-path send filter", typ)
+				}
+			}
+			// The only transfers are the handshake's request and response.
+			if l, s := link.ARQStats().TransfersSent, tr.ARQStats().TransfersSent; l != 1 || s != 1 {
+				t.Errorf("ARQ transfers: link %d, server %d; want 1 each (the handshake)", l, s)
+			}
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package udptransport
 
 import (
+	"bytes"
 	"context"
 	"crypto/ed25519"
 	"encoding/binary"
@@ -76,11 +77,10 @@ var (
 // around this type.
 //
 // Control and configuration messages ride the selective-repeat ARQ layer
-// (arq.go) unless disabled via Configure: requests arrive wrapped in
-// MsgRel envelopes, responses — including multi-chunk configuration
-// fetches — are pushed back as reliable transfers that are retransmitted
-// until acknowledged. Unwrapped (legacy) control messages are still
-// answered fire-and-forget, so old clients keep working.
+// (arq.go): requests arrive as single-segment MsgRel transfers, and
+// responses — a whole configuration blob included — are pushed back as
+// reliable transfers that are retransmitted until acknowledged. A control
+// message without its MsgRel envelope is ignored.
 type Transport struct {
 	listen string
 	// Logf, if set before BindServer, receives connection-level log lines
@@ -101,18 +101,20 @@ type Transport struct {
 	// faults impair the two directions with independent seeded sequences
 	// (server->client, client->server); nil without a loss profile.
 	faults [2]*netsim.Faults
-	arq    *arq // nil when RetransmitConfig.Disable is set
+	arq    *arq
 }
 
 // NewTransport creates a UDP transport that will listen on the given
 // address once a server binds to it. Use ":0" to pick a free port (the
 // effective address is available from Addr after BindServer).
 func NewTransport(listen string) *Transport {
-	return &Transport{
+	t := &Transport{
 		listen: listen,
 		addrs:  make(map[string]*net.UDPAddr),
 		byAddr: make(map[string]string),
 	}
+	t.arq = newARQ(RetransmitConfig{}, serverRecvSegments, t.transmit, t.logf)
+	return t
 }
 
 func (t *Transport) logf(format string, args ...any) {
@@ -130,9 +132,9 @@ func (t *Transport) logf(format string, args ...any) {
 // running on the serve goroutine, whose request/response pattern needs no
 // pipelining. 0 handles frames inline.
 //
-// retransmit tunes (or, with RetransmitConfig.Disable, turns off) the
-// control-path ARQ layer. Client links opened through Link inherit it, so
-// both directions of a deployment share one tuning.
+// retransmit tunes the control-path ARQ layer. Client links opened
+// through Link inherit it, so both directions of a deployment share one
+// tuning.
 //
 // loss applies deterministic seeded impairment (netsim.Faults) to every
 // control-path datagram the server and its links send. Each direction
@@ -144,6 +146,7 @@ func (t *Transport) Configure(workers int, retransmit RetransmitConfig, loss cor
 	defer t.mu.Unlock()
 	t.workers = workers
 	t.retransmit = retransmit
+	t.arq = newARQ(retransmit, serverRecvSegments, t.transmit, t.logf)
 	t.faults = [2]*netsim.Faults{}
 	t.filter, t.linkFilter = nil, nil
 	if loss.Zero() {
@@ -197,23 +200,23 @@ func (t *Transport) SetSendFilter(f SendFilter) {
 	t.filter, t.linkFilter = f, f
 }
 
-// ARQStats reports the server-side reliability counters (zero value when
-// the ARQ layer is disabled).
+// ARQStats reports the server-side reliability counters.
 func (t *Transport) ARQStats() ARQStats {
 	t.mu.Lock()
 	a := t.arq
 	t.mu.Unlock()
-	if a == nil {
-		return ARQStats{}
-	}
 	return a.snapshot()
 }
 
-// transmitTo writes one control-path datagram through the send filter.
-func (t *Transport) transmitTo(conn *net.UDPConn, to *net.UDPAddr, datagram []byte) error {
+// transmit writes one control-path datagram through the send filter; it
+// is the server ARQ's raw send.
+func (t *Transport) transmit(to *net.UDPAddr, datagram []byte) error {
 	t.mu.Lock()
-	filter := t.filter
+	conn, filter := t.conn, t.filter
 	t.mu.Unlock()
+	if conn == nil {
+		return fmt.Errorf("udptransport: transport not bound")
+	}
 	raw := func(d []byte) error {
 		_, err := conn.WriteToUDP(d, to)
 		return err
@@ -246,8 +249,8 @@ func (t *Transport) BindServer(ep core.ServerEndpoint) error {
 		return err
 	}
 	// Deep receive buffer (best effort; the kernel clamps to rmem_max):
-	// a configuration fetch answers with a burst of ~60 kB chunks, and
-	// every chunk the socket sheds is a retransmission round-trip.
+	// clients answer a configuration transfer with a burst of acks, and
+	// every datagram the socket sheds is a retransmission round trip.
 	_ = conn.SetReadBuffer(recvBufferSize)
 	t.mu.Lock()
 	if t.ep != nil {
@@ -257,11 +260,7 @@ func (t *Transport) BindServer(ep core.ServerEndpoint) error {
 	}
 	t.ep = ep
 	t.conn = conn
-	if !t.retransmit.Disable {
-		t.arq = newARQ(t.retransmit, func(to *net.UDPAddr, datagram []byte) error {
-			return t.transmitTo(conn, to, datagram)
-		}, t.logf)
-	}
+	a := t.arq
 	if t.workers > 0 {
 		t.pool = dataplane.NewPool(t.workers, 0, func(clientID string, frame []byte) {
 			if err := ep.HandleFrame(clientID, frame); err != nil {
@@ -280,14 +279,14 @@ func (t *Transport) BindServer(ep core.ServerEndpoint) error {
 		t.pool.SetOnShed(ep.FrameShed)
 	}
 	t.mu.Unlock()
-	go t.serve(conn, ep)
+	go t.serve(conn, ep, a)
 	return nil
 }
 
 // serve is the datagram dispatch loop. Datagrams land in pooled receive
 // buffers; a buffer is reused for the next read unless a frame dispatch
 // transferred its ownership to the worker pool.
-func (t *Transport) serve(conn *net.UDPConn, ep core.ServerEndpoint) {
+func (t *Transport) serve(conn *net.UDPConn, ep core.ServerEndpoint, a *arq) {
 	buf := wire.GetBuffer(MaxDatagram)
 	defer func() { wire.PutBuffer(buf) }()
 	for {
@@ -307,49 +306,31 @@ func (t *Transport) serve(conn *net.UDPConn, ep core.ServerEndpoint) {
 		if err != nil {
 			continue
 		}
-		if msgType == MsgFrame || msgType == MsgControl {
+		switch msgType {
+		case MsgFrame, MsgControl:
 			if t.dispatchFrame(ep, body, buf[:n], from, msgType == MsgControl) {
 				buf = wire.GetBuffer(MaxDatagram)
 			}
-			continue
-		}
-		t.mu.Lock()
-		a := t.arq
-		t.mu.Unlock()
-		switch msgType {
 		case MsgRel:
-			if a == nil {
-				continue // ARQ disabled: ignore wrapped traffic
-			}
 			// Unwrap, acknowledge and deduplicate; on first delivery run
-			// the control handler and push its response (single datagram
-			// or a whole chunked configuration) as a reliable transfer.
-			a.handleRel(from.String(), from, body, func(inner []byte) bool {
-				innerType, innerBody, err := Decode(inner)
-				if err != nil || innerType == MsgFrame || innerType == MsgControl {
+			// the control handler and push its response as a reliable
+			// transfer.
+			a.handleRel(from.String(), from, body, func(req []byte) bool {
+				reqType, reqBody, err := Decode(req)
+				if err != nil || reqType == MsgFrame || reqType == MsgControl {
 					return true // swallow: never re-deliver garbage
 				}
-				resp := t.handle(ep, innerType, innerBody, from)
-				if len(resp) > 0 {
-					if _, err := a.send(from.String(), from, resp); err != nil {
-						t.logf("udptransport: reliable reply to %s: %v", from, err)
-					}
+				resp := t.handle(ep, reqType, reqBody, from)
+				if _, err := a.send(from.String(), from, resp); err != nil {
+					t.logf("udptransport: reliable reply to %s: %v", from, err)
 				}
 				return true
 			})
 		case MsgAck:
-			if a != nil {
-				a.handleAck(from.String(), body)
-			}
-		default:
-			// Legacy unwrapped control: answer fire-and-forget so clients
-			// without the ARQ layer keep working.
-			for _, resp := range t.handle(ep, msgType, body, from) {
-				if err := t.transmitTo(conn, from, resp); err != nil {
-					t.logf("udptransport: reply to %s: %v", from, err)
-				}
-			}
+			a.handleAck(from.String(), body)
 		}
+		// Anything else, a control message without its MsgRel envelope
+		// included, is ignored: it carries no checksum.
 	}
 }
 
@@ -390,49 +371,46 @@ func (t *Transport) dispatchFrame(ep core.ServerEndpoint, body, owner []byte, fr
 	return false
 }
 
-// handle processes one control message and returns the response datagrams
-// (nil for none; a configuration fetch yields the whole chunk list). The
-// caller decides the delivery class: reliably-received requests get
-// reliable responses, legacy requests are answered fire-and-forget.
-func (t *Transport) handle(ep core.ServerEndpoint, msgType byte, body []byte, from *net.UDPAddr) [][]byte {
-	one := func(d []byte) [][]byte { return [][]byte{d} }
+// handle processes one control request and returns its response message,
+// which the caller sends back as a reliable transfer.
+func (t *Transport) handle(ep core.ServerEndpoint, msgType byte, body []byte, from *net.UDPAddr) []byte {
 	switch msgType {
 	case MsgRegister:
 		var reg Register
 		if err := DecodeJSON(body, &reg); err != nil {
-			return one(Errorf("register: %v", err))
+			return Errorf("register: %v", err)
 		}
 		caPub, err := ep.RegisterPlatform(reg.PlatformID, reg.Key)
 		if err != nil {
-			return one(Errorf("register refused: %v", err))
+			return Errorf("register refused: %v", err)
 		}
 		t.logf("registered platform %s", reg.PlatformID)
-		return one(Encode(MsgRegisterOK, caPub))
+		return Encode(MsgRegisterOK, caPub)
 
 	case MsgQuote:
 		var quote attest.Quote
 		if err := DecodeJSON(body, &quote); err != nil {
-			return one(Errorf("quote: %v", err))
+			return Errorf("quote: %v", err)
 		}
 		prov, err := ep.Enroll(quote)
 		if err != nil {
-			return one(Errorf("enrolment refused: %v", err))
+			return Errorf("enrolment refused: %v", err)
 		}
 		resp, err := EncodeJSON(MsgProvision, prov)
 		if err != nil {
-			return one(Errorf("provision: %v", err))
+			return Errorf("provision: %v", err)
 		}
 		t.logf("enrolled platform %s (measurement %s)", quote.PlatformID, quote.Report.Measurement)
-		return one(resp)
+		return resp
 
 	case MsgHello:
 		var hello vpn.ClientHello
 		if err := DecodeJSON(body, &hello); err != nil {
-			return one(Errorf("hello: %v", err))
+			return Errorf("hello: %v", err)
 		}
 		sh, err := ep.AcceptHello(&hello)
 		if err != nil {
-			return one(Errorf("handshake refused: %v", err))
+			return Errorf("handshake refused: %v", err)
 		}
 		t.mu.Lock()
 		if prev, ok := t.addrs[hello.ClientID]; ok {
@@ -443,19 +421,19 @@ func (t *Transport) handle(ep core.ServerEndpoint, msgType byte, body []byte, fr
 		t.mu.Unlock()
 		resp, err := EncodeJSON(MsgServerHello, sh)
 		if err != nil {
-			return one(Errorf("server hello: %v", err))
+			return Errorf("server hello: %v", err)
 		}
 		t.logf("client %s connected from %s", hello.ClientID, from)
-		return one(resp)
+		return resp
 
 	case MsgResume:
 		var req vpn.ResumeRequest
 		if err := DecodeJSON(body, &req); err != nil {
-			return one(Errorf("resume: %v", err))
+			return Errorf("resume: %v", err)
 		}
 		reply, err := ep.AcceptResume(&req)
 		if err != nil {
-			return one(Errorf("resume refused: %v", err))
+			return Errorf("resume refused: %v", err)
 		}
 		// The resumed session's frames will come from this address; rebind
 		// it exactly like a fresh handshake does.
@@ -468,28 +446,27 @@ func (t *Transport) handle(ep core.ServerEndpoint, msgType byte, body []byte, fr
 		t.mu.Unlock()
 		resp, err := EncodeJSON(MsgResumeOK, reply)
 		if err != nil {
-			return one(Errorf("resume reply: %v", err))
+			return Errorf("resume reply: %v", err)
 		}
 		t.logf("client %s resumed from %s", req.ClientID, from)
-		return one(resp)
+		return resp
 
 	case MsgFetch:
 		if len(body) != 8 {
-			return one(Errorf("fetch: bad version"))
+			return Errorf("fetch: bad version")
 		}
 		version := binary.BigEndian.Uint64(body)
 		blob, err := ep.FetchConfig(version)
 		if err != nil {
-			return one(Errorf("fetch v%d: %v", version, err))
+			return Errorf("fetch v%d: %v", version, err)
 		}
-		chunks, err := EncodeChunks(blob)
-		if err != nil {
-			return one(Errorf("fetch v%d: %v", version, err))
+		if 1+len(blob) > maxMessage {
+			return Errorf("fetch v%d: %d-byte configuration exceeds %d bytes", version, len(blob), maxMessage-1)
 		}
-		return chunks
+		return Encode(MsgConfig, blob)
 
 	default:
-		return one(Errorf("unknown message type %c", msgType))
+		return Errorf("unknown message type %c", msgType)
 	}
 }
 
@@ -537,13 +514,10 @@ func (t *Transport) Close() error {
 	a := t.arq
 	t.conn = nil
 	t.pool = nil
-	t.arq = nil
 	t.closed = true
 	t.mu.Unlock()
 	var err error
-	if a != nil {
-		a.close()
-	}
+	a.close()
 	if conn != nil {
 		err = conn.Close()
 	}
@@ -553,37 +527,34 @@ func (t *Transport) Close() error {
 	return err
 }
 
-// requestTimeout is the per-attempt control round-trip timeout of the
-// legacy (ARQ-disabled) path.
-const requestTimeout = 2 * time.Second
-
 // recvBufferSize is the socket receive buffer both sides request (best
 // effort — the kernel clamps it to net.core.rmem_max). It covers a full
-// ARQ window of configuration chunks so a burst does not shed datagrams
+// ARQ window of configuration segments so a burst does not shed datagrams
 // the sender will only have to retransmit.
 const recvBufferSize = 4 << 20
 
-// controlQueue sizes the control-response channel. It must cover at least
-// one ARQ window of configuration chunks so the fetch loop never sheds a
-// segment the ARQ layer is about to acknowledge.
-const controlQueue = 64
+// controlQueue sizes the control-response channel. Round trips are
+// serialised per link, so one response is outstanding at a time; the
+// slack holds late responses to abandoned round trips until the next
+// request drains them. A full queue refuses delivery, which the ARQ layer
+// treats as loss, so nothing acknowledged is ever shed.
+const controlQueue = 8
 
 // Link is the client side of the UDP transport: a request/response helper
 // for control messages plus an async dispatch loop for pushed data frames.
 // It implements core.ClientLink.
 //
-// Control round trips ride the ARQ layer by default: the request goes out
-// as a reliable transfer (retransmitted on a backed-off timer until the
-// server acknowledges it) and the response arrives as a reliable transfer
-// from the server. Dial with LinkRetransmit(RetransmitConfig{Disable:
-// true}) to fall back to the legacy blind-resend path.
+// Every control round trip rides the ARQ layer: the request goes out as a
+// reliable transfer (retransmitted on a backed-off timer until the server
+// acknowledges it) and the response arrives as a reliable transfer from
+// the server, delivered once and whole.
 type Link struct {
 	conn    *net.UDPConn
 	control chan []byte // control responses (type+body), copied out of the read buffer
 	frames  chan []byte // pushed data datagrams (type+body) in pooled buffers the queue owns
 
 	cfg    RetransmitConfig
-	arq    *arq       // nil when cfg.Disable
+	arq    *arq
 	filter SendFilter // control-path impairment seam (tests)
 
 	ctrlMu sync.Mutex // serialises control-plane round trips
@@ -599,8 +570,7 @@ type Link struct {
 // DialOption configures a Link at Dial time.
 type DialOption func(*Link)
 
-// LinkRetransmit sets the link's ARQ tuning (zero value = defaults,
-// enabled; RetransmitConfig.Disable opts out).
+// LinkRetransmit sets the link's ARQ tuning (zero value = defaults).
 func LinkRetransmit(cfg RetransmitConfig) DialOption {
 	return func(l *Link) { l.cfg = cfg }
 }
@@ -624,7 +594,7 @@ func Dial(ctx context.Context, server string, opts ...DialOption) (*Link, error)
 	if err != nil {
 		return nil, err
 	}
-	// Absorb whole chunk bursts instead of shedding them (best effort).
+	// Absorb whole segment bursts instead of shedding them (best effort).
 	_ = conn.SetReadBuffer(recvBufferSize)
 	l := &Link{
 		conn:    conn,
@@ -635,11 +605,9 @@ func Dial(ctx context.Context, server string, opts ...DialOption) (*Link, error)
 	for _, opt := range opts {
 		opt(l)
 	}
-	if !l.cfg.Disable {
-		l.arq = newARQ(l.cfg, func(_ *net.UDPAddr, datagram []byte) error {
-			return l.send(datagram)
-		}, nil)
-	}
+	l.arq = newARQ(l.cfg, linkRecvSegments, func(_ *net.UDPAddr, datagram []byte) error {
+		return l.send(datagram)
+	}, nil)
 	go l.readLoop()
 	return l, nil
 }
@@ -656,19 +624,16 @@ func (l *Link) send(datagram []byte) error {
 	return raw(datagram)
 }
 
-// ARQStats reports the link-side reliability counters (zero value when
-// the ARQ layer is disabled).
+// ARQStats reports the link-side reliability counters.
 func (l *Link) ARQStats() ARQStats {
-	if l.arq == nil {
-		return ARQStats{}
-	}
 	return l.arq.snapshot()
 }
 
 // readLoop reads datagrams into pooled buffers. Data frames travel to the
 // dispatch loop inside their receive buffer — ownership moves with them
 // and the dispatcher releases the buffer after the handler's burst — while
-// the cold control path copies and reuses the same buffer.
+// the cold control path copies and reuses the same buffer. A control
+// message without its MsgRel envelope is ignored.
 func (l *Link) readLoop() {
 	buf := wire.GetBuffer(MaxDatagram)
 	for {
@@ -681,40 +646,28 @@ func (l *Link) readLoop() {
 		if n == 0 {
 			continue
 		}
-		if buf[0] == MsgFrame || buf[0] == MsgControl {
+		switch buf[0] {
+		case MsgFrame, MsgControl:
 			select {
 			case l.frames <- buf[:n]:
 				buf = wire.GetBuffer(MaxDatagram)
 			default: // shed on overload like a real NIC queue; buffer reused
 			}
-			continue
-		}
-		if l.arq != nil {
-			switch buf[0] {
-			case MsgRel:
-				// Reliable control from the server: unwrap, deduplicate
-				// and acknowledge. A full control queue refuses delivery,
-				// which withholds the ack — the server retransmits, so
-				// nothing acknowledged is ever shed.
-				l.arq.handleRel("", nil, buf[1:n], func(inner []byte) bool {
-					msg := append([]byte(nil), inner...)
-					select {
-					case l.control <- msg:
-						return true
-					default:
-						return false
-					}
-				})
-				continue
-			case MsgAck:
-				l.arq.handleAck("", buf[1:n])
-				continue
-			}
-		}
-		msg := append([]byte(nil), buf[:n]...)
-		select {
-		case l.control <- msg:
-		default:
+		case MsgRel:
+			// Reliable control from the server: reassemble, deduplicate
+			// and acknowledge. A full control queue refuses delivery,
+			// which withholds the final ack — the server retransmits, so
+			// nothing acknowledged is ever shed.
+			l.arq.handleRel("", nil, buf[1:n], func(resp []byte) bool {
+				select {
+				case l.control <- bytes.Clone(resp):
+					return true
+				default:
+					return false
+				}
+			})
+		case MsgAck:
+			l.arq.handleAck("", buf[1:n])
 		}
 	}
 }
@@ -731,47 +684,14 @@ func (l *Link) drainControl() {
 	}
 }
 
-// request performs one control round trip, honouring ctx. With the ARQ
-// layer the request goes out as a reliable transfer (the layer's timers
-// replace the legacy blind resend) and failure surfaces as soon as the
-// retry budget is spent; without it, three blind attempts as before.
-func (l *Link) request(ctx context.Context, datagram []byte) (byte, []byte, error) {
+// request performs one control round trip, honouring ctx: the request
+// goes out as a reliable transfer and failure surfaces as soon as its
+// retry budget is spent. The response arrives as its own transfer.
+func (l *Link) request(ctx context.Context, msg []byte) (byte, []byte, error) {
 	l.ctrlMu.Lock()
 	defer l.ctrlMu.Unlock()
 	l.drainControl()
-	if l.arq != nil {
-		return l.requestReliable(ctx, datagram)
-	}
-	for attempt := 0; attempt < 3; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return 0, nil, err
-		}
-		if err := l.send(datagram); err != nil {
-			return 0, nil, err
-		}
-		select {
-		case resp := <-l.control:
-			msgType, body, err := Decode(resp)
-			if err != nil {
-				return 0, nil, err
-			}
-			if msgType == MsgError {
-				return 0, nil, serverError(body)
-			}
-			return msgType, body, nil
-		case <-ctx.Done():
-			return 0, nil, ctx.Err()
-		case <-l.closed:
-			return 0, nil, ErrLinkClosed
-		case <-time.After(requestTimeout):
-		}
-	}
-	return 0, nil, fmt.Errorf("udptransport: no response from server")
-}
-
-// requestReliable is the ARQ round trip. Callers hold ctrlMu.
-func (l *Link) requestReliable(ctx context.Context, datagram []byte) (byte, []byte, error) {
-	x, err := l.arq.send("", nil, [][]byte{datagram})
+	x, err := l.arq.send("", nil, msg)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -877,69 +797,19 @@ func (l *Link) Resume(ctx context.Context, r *vpn.ResumeRequest) (*vpn.ResumeRep
 	return &reply, nil
 }
 
-// FetchConfig implements core.ClientLink: request a blob (0 = latest) and
-// reassemble the chunk stream. With the ARQ layer the chunk stream is a
-// reliable transfer — lost chunks are retransmitted (and holes actively
-// re-requested by the receiver's gap probes) instead of timing out the
-// whole fetch; the Assembler rejects inconsistent chunk streams with
-// typed errors either way.
+// FetchConfig implements core.ClientLink: one round trip whose MsgConfig
+// response carries the whole sealed blob (version 0 = latest).
 func (l *Link) FetchConfig(ctx context.Context, version uint64) ([]byte, error) {
-	l.ctrlMu.Lock()
-	defer l.ctrlMu.Unlock()
-	l.drainControl()
 	var v [8]byte
 	binary.BigEndian.PutUint64(v[:], version)
-	fetch := Encode(MsgFetch, v[:])
-	fetchDeadline := 5 * time.Second
-	var x *xmit
-	if l.arq != nil {
-		var err error
-		if x, err = l.arq.send("", nil, [][]byte{fetch}); err != nil {
-			return nil, err
-		}
-		defer l.arq.cancel(x)
-		// Request transfer plus a chunk-stream transfer, worst case.
-		fetchDeadline = 2 * l.cfg.TransferDeadline()
-	} else if err := l.send(fetch); err != nil {
+	msgType, body, err := l.request(ctx, Encode(MsgFetch, v[:]))
+	if err != nil {
 		return nil, err
 	}
-	var asm Assembler
-	deadline := time.NewTimer(fetchDeadline)
-	defer deadline.Stop()
-	var failed chan error
-	if x != nil {
-		failed = x.failed
+	if msgType != MsgConfig {
+		return nil, fmt.Errorf("udptransport: unexpected fetch response %c", msgType)
 	}
-	for {
-		select {
-		case resp := <-l.control:
-			msgType, body, err := Decode(resp)
-			if err != nil {
-				return nil, err
-			}
-			switch msgType {
-			case MsgError:
-				return nil, serverError(body)
-			case MsgConfig:
-				complete, err := asm.Add(body)
-				if err != nil {
-					return nil, err
-				}
-				if complete {
-					return asm.Blob()
-				}
-			}
-		case err := <-failed:
-			return nil, fmt.Errorf("udptransport: fetch undeliverable: %w", err)
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-l.closed:
-			return nil, ErrLinkClosed
-		case <-deadline.C:
-			got, want := asm.Received()
-			return nil, fmt.Errorf("udptransport: configuration fetch timed out (%d/%d chunks)", got, want)
-		}
-	}
+	return body, nil
 }
 
 // SendFrame implements core.ClientLink.
@@ -1031,9 +901,7 @@ func (l *Link) Close() error {
 	var err error
 	l.closeOnce.Do(func() {
 		close(l.closed)
-		if l.arq != nil {
-			l.arq.close()
-		}
+		l.arq.close()
 		err = l.conn.Close()
 	})
 	return err

@@ -5,7 +5,9 @@ import (
 	"context"
 	"crypto/ed25519"
 	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,16 +17,19 @@ import (
 )
 
 // fakeEndpoint implements core.ServerEndpoint with canned behaviour, so
-// the transport's dispatch and chunking are tested without a deployment.
+// the transport's dispatch and reliability are tested without a
+// deployment. calls counts every method invocation.
 type fakeEndpoint struct {
 	mu        sync.Mutex
 	caPub     ed25519.PublicKey
 	blob      []byte
 	frames    [][]byte
 	platforms []string
+	calls     atomic.Int64
 }
 
 func (f *fakeEndpoint) RegisterPlatform(id string, key ed25519.PublicKey) (ed25519.PublicKey, error) {
+	f.calls.Add(1)
 	if id == "denied" {
 		return nil, fmt.Errorf("platform on deny list")
 	}
@@ -34,28 +39,37 @@ func (f *fakeEndpoint) RegisterPlatform(id string, key ed25519.PublicKey) (ed255
 	return f.caPub, nil
 }
 
+// Enroll provisions only the platform "enrolled".
 func (f *fakeEndpoint) Enroll(q attest.Quote) (*attest.Provision, error) {
+	f.calls.Add(1)
+	if q.PlatformID == "enrolled" {
+		return &attest.Provision{SealedKey: []byte("sealed")}, nil
+	}
 	return nil, fmt.Errorf("enrolment closed")
 }
 
 func (f *fakeEndpoint) AcceptHello(h *vpn.ClientHello) (*vpn.ServerHello, error) {
+	f.calls.Add(1)
 	return &vpn.ServerHello{ChosenTLS: vpn.TLS13}, nil
 }
 
 func (f *fakeEndpoint) AcceptResume(r *vpn.ResumeRequest) (*vpn.ResumeReply, error) {
-	return &vpn.ResumeReply{}, nil
+	f.calls.Add(1)
+	return &vpn.ResumeReply{ConfigVersion: r.ConfigVersion}, nil
 }
 
 func (f *fakeEndpoint) HandleFrame(clientID string, frame []byte) error {
+	f.calls.Add(1)
 	f.mu.Lock()
 	f.frames = append(f.frames, append([]byte(nil), frame...))
 	f.mu.Unlock()
 	return nil
 }
 
-func (f *fakeEndpoint) FrameShed(string) {}
+func (f *fakeEndpoint) FrameShed(string) { f.calls.Add(1) }
 
 func (f *fakeEndpoint) FetchConfig(version uint64) ([]byte, error) {
+	f.calls.Add(1)
 	if version == 404 {
 		return nil, fmt.Errorf("no such version")
 	}
@@ -79,7 +93,7 @@ func TestTransportControlRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A blob spanning several chunks exercises reassembly.
+	// A blob spanning several segments exercises reassembly.
 	blob := bytes.Repeat([]byte("endbox-config-"), 10000) // ~140 kB
 	ep := &fakeEndpoint{caPub: pub, blob: blob}
 	tr := startTransport(t, ep)
@@ -329,4 +343,50 @@ func waitFor(cond func() bool) error {
 		time.Sleep(5 * time.Millisecond)
 	}
 	return fmt.Errorf("condition not met")
+}
+
+// TestEncodeJSONSegmentBoundary pins the single request size limit: a
+// request of exactly SegmentPayload bytes round-trips over a real socket
+// as one segment, and one byte more is refused by EncodeJSON before it
+// reaches the ARQ layer.
+func TestEncodeJSONSegmentBoundary(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	pub, _, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := &fakeEndpoint{caPub: pub}
+	tr := startTransport(t, ep)
+	link, err := Dial(ctx, tr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer link.Close()
+
+	// Size the platform ID so the framed request is exactly the cap.
+	empty, err := EncodeJSON(MsgRegister, Register{Key: pub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := strings.Repeat("p", SegmentPayload-len(empty))
+	if msg, err := EncodeJSON(MsgRegister, Register{PlatformID: id, Key: pub}); err != nil || len(msg) != SegmentPayload {
+		t.Fatalf("request at the cap: %d bytes, err %v", len(msg), err)
+	}
+	got, err := link.Register(ctx, id, pub)
+	if err != nil {
+		t.Fatalf("request of exactly SegmentPayload bytes: %v", err)
+	}
+	if !got.Equal(pub) {
+		t.Fatal("CA key corrupted in transit")
+	}
+	if st := link.ARQStats(); st.SegmentsSent != 1 {
+		t.Errorf("request took %d segments, want 1", st.SegmentsSent)
+	}
+	if _, err := EncodeJSON(MsgRegister, Register{PlatformID: id + "p", Key: pub}); err == nil {
+		t.Error("request one byte over SegmentPayload accepted")
+	}
+	if _, err := link.Register(ctx, id+"p", pub); err == nil {
+		t.Error("Register one byte over SegmentPayload succeeded")
+	}
 }

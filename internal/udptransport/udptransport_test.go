@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"testing/quick"
 )
 
 func TestEncodeDecode(t *testing.T) {
@@ -51,80 +50,5 @@ func TestErrorf(t *testing.T) {
 	msgType, body, err := Decode(Errorf("bad %d", 42))
 	if err != nil || msgType != MsgError || string(body) != "bad 42" {
 		t.Errorf("got %c %q %v", msgType, body, err)
-	}
-}
-
-func TestChunkRoundTrip(t *testing.T) {
-	for _, size := range []int{0, 1, ChunkPayload - 1, ChunkPayload, ChunkPayload + 1, 3*ChunkPayload + 17} {
-		blob := bytes.Repeat([]byte{0xAB}, size)
-		for i := range blob {
-			blob[i] = byte(i)
-		}
-		chunks, err := EncodeChunks(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantChunks := (size + ChunkPayload - 1) / ChunkPayload
-		if wantChunks == 0 {
-			wantChunks = 1
-		}
-		if len(chunks) != wantChunks {
-			t.Fatalf("size %d: %d chunks, want %d", size, len(chunks), wantChunks)
-		}
-		var back []byte
-		for i, c := range chunks {
-			msgType, body, err := Decode(c)
-			if err != nil || msgType != MsgConfig {
-				t.Fatalf("chunk %d: type %c err %v", i, msgType, err)
-			}
-			idx, total, data, err := DecodeChunk(body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if idx != i || total != wantChunks {
-				t.Fatalf("chunk header %d/%d, want %d/%d", idx, total, i, wantChunks)
-			}
-			back = append(back, data...)
-		}
-		if !bytes.Equal(back, blob) {
-			t.Errorf("size %d: reassembly mismatch", size)
-		}
-	}
-}
-
-func TestChunkProperty(t *testing.T) {
-	f := func(blob []byte) bool {
-		chunks, err := EncodeChunks(blob)
-		if err != nil {
-			return false
-		}
-		var back []byte
-		for _, c := range chunks {
-			_, body, err := Decode(c)
-			if err != nil {
-				return false
-			}
-			_, _, data, err := DecodeChunk(body)
-			if err != nil {
-				return false
-			}
-			back = append(back, data...)
-		}
-		return bytes.Equal(back, blob)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDecodeChunkErrors(t *testing.T) {
-	if _, _, _, err := DecodeChunk([]byte{1, 2}); err == nil {
-		t.Error("short chunk accepted")
-	}
-	if _, _, _, err := DecodeChunk([]byte{0, 5, 0, 3, 1}); err == nil {
-		t.Error("index >= total accepted")
-	}
-	if _, _, _, err := DecodeChunk([]byte{0, 0, 0, 0}); err == nil {
-		t.Error("zero total accepted")
 	}
 }

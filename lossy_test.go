@@ -2,7 +2,7 @@ package endbox
 
 // End-to-end loss tolerance through the public facade: a UDP deployment
 // with WithLossProfile impairment on every control-path datagram must
-// still attest clients, hand out multi-chunk configurations and complete
+// still attest clients, hand out multi-segment configurations and complete
 // a live configuration rollout — the ARQ layer (WithRetransmit) recovers
 // what the simulated network sheds. CI runs the TestLossy pattern as a
 // dedicated -race job.
@@ -32,7 +32,7 @@ func lossyRetransmit() RetransmitConfig {
 // TestLossyDeploymentConfigPublish is the end-to-end acceptance scenario:
 // attestation, enrolment and handshake over a 15%-lossy control path,
 // then a configuration publish whose sealed blob spans at least five
-// chunks, hot-swapped by the client within the retry budget.
+// ARQ segments, hot-swapped by the client within the retry budget.
 func TestLossyDeploymentConfigPublish(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -63,7 +63,7 @@ func TestLossyDeploymentConfigPublish(t *testing.T) {
 		t.Fatalf("SendPacket: %v", err)
 	}
 
-	// A rule set big enough that the sealed blob spans >= 5 chunks.
+	// A rule set big enough that the sealed blob spans >= 5 ARQ segments.
 	update := &Update{
 		Version:      3,
 		GraceSeconds: 60,
@@ -77,8 +77,9 @@ func TestLossyDeploymentConfigPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chunks := (len(blob) + udptransport.ChunkPayload - 1) / udptransport.ChunkPayload; chunks < 5 {
-		t.Fatalf("sealed blob spans %d chunks (%d bytes), want >= 5 — grow the rule set", chunks, len(blob))
+	// The MsgConfig response is the type byte plus the blob.
+	if segments := len(blob)/udptransport.SegmentPayload + 1; segments < 5 {
+		t.Fatalf("sealed blob spans %d segments (%d bytes), want >= 5 — grow the rule set", segments, len(blob))
 	}
 
 	// The announce ping pushes the version; the client fetches the blob
@@ -100,7 +101,7 @@ func TestLossyDeploymentConfigPublish(t *testing.T) {
 	}
 
 	// The wire was genuinely lossy and the server genuinely retransmitted
-	// configuration chunks to get the update through.
+	// configuration segments to get the update through.
 	st := transport.ARQStats()
 	if st.TransfersSent == 0 || st.SegmentsSent == 0 {
 		t.Errorf("server ARQ idle during a lossy rollout: %+v", st)

@@ -112,12 +112,11 @@ func WithUDPWorkers(n int) Option {
 }
 
 // WithRetransmit tunes the control-path ARQ layer of the UDP transport
-// (the in-process transport cannot lose messages and ignores it). The ARQ layer is on by default
-// with sensible timers — use this option to tighten them for tests, widen
-// them for high-latency links, or disable the layer entirely
-// (RetransmitConfig{Disable: true}) to reproduce the fire-and-forget
-// behaviour. Data-channel frames are never retransmitted: reliability is
-// a control/configuration concern, and the zero-allocation data path is
+// (the in-process transport cannot lose messages and ignores it). Every
+// control message rides the ARQ layer, with sensible default timers — use
+// this option to tighten them for tests or widen them for high-latency
+// links. Data-channel frames are never retransmitted: reliability is a
+// control/configuration concern, and the zero-allocation data path is
 // untouched. See docs/PROTOCOL.md for the ACK/retransmit state machines.
 func WithRetransmit(cfg RetransmitConfig) Option {
 	return func(o *DeploymentOptions) { o.Retransmit = cfg }
